@@ -1,5 +1,8 @@
 //! Internal debugging driver: runs random-ish configs until the
 //! coherence invariant checker trips, then reports the failing setup.
+
+#![forbid(unsafe_code)]
+
 use cmp_adaptive_wb::{PolicyConfig, SnarfConfig, System, SystemConfig};
 use cmpsim_trace::{SegmentMix, WorkloadParams};
 

@@ -16,6 +16,8 @@
 //! Scale follows `CMPSIM_PROFILE` (quick / full / smoke) like the
 //! experiment binaries; `--jobs N` bounds worker threads.
 
+#![forbid(unsafe_code)]
+
 use cmp_adaptive_wb::{DecisionAuditSummary, PolicyConfig, RunReport, SnarfConfig, WbhtConfig};
 use cmpsim_bench::{parallel_runs, Profile};
 use cmpsim_trace::Workload;
@@ -241,7 +243,6 @@ fn metrics_rows(r: &RunReport) -> Vec<(String, cmpsim_engine::metrics::MetricSca
 
 fn main() {
     cmpsim_bench::jobs_from_args();
-    cmpsim_bench::shards_from_args();
     let p = Profile::from_env();
     let mut pressure = 6u32;
     let mut do_check = false;
@@ -263,10 +264,7 @@ fn main() {
             "--jobs" => {
                 it.next(); // consumed by jobs_from_args
             }
-            "--shards" => {
-                it.next(); // consumed by shards_from_args
-            }
-            other if other.starts_with("--jobs=") || other.starts_with("--shards=") => {}
+            other if other.starts_with("--jobs=") => {}
             other => {
                 eprintln!(
                     "policy_audit: unknown flag {other}\n\

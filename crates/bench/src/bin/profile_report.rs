@@ -21,6 +21,8 @@
 //! first frame. `--check` exits non-zero unless aggregate attribution
 //! coverage is at least 95%.
 
+#![forbid(unsafe_code)]
+
 use cmp_adaptive_wb::{PolicyConfig, RunReport, SnarfConfig, UpdateScope, WbhtConfig};
 use cmpsim_bench::{run_grid, Profile, Table};
 use cmpsim_engine::profiler::{HostProfiler, HostStage, TIMED_STAGES};
@@ -37,7 +39,6 @@ struct Args {
 
 fn parse_args() -> Args {
     cmpsim_bench::jobs_from_args();
-    cmpsim_bench::shards_from_args();
     let mut args = Args {
         jobs: cmpsim_bench::effective_jobs(),
         // Stride 1 times every iteration with shared window boundaries,
@@ -54,9 +55,6 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--jobs" => {
                 it.next(); // consumed by jobs_from_args
-            }
-            "--shards" => {
-                it.next(); // consumed by shards_from_args
             }
             "--stride" => {
                 args.stride = it
@@ -75,10 +73,8 @@ fn parse_args() -> Args {
             other => {
                 if let Some(p) = other.strip_prefix("--stream-telemetry=") {
                     args.stream_path = Some(p.to_string());
-                } else if other.strip_prefix("--jobs=").is_some()
-                    || other.strip_prefix("--shards=").is_some()
-                {
-                    // consumed by jobs_from_args / shards_from_args
+                } else if other.strip_prefix("--jobs=").is_some() {
+                    // consumed by jobs_from_args
                 } else {
                     usage(&format!("unknown flag {other}"))
                 }

@@ -18,6 +18,8 @@
 //!             [--refs N] [--scale N] [--sample N] [--top N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

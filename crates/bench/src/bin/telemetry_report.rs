@@ -13,6 +13,8 @@
 //! rather than folded into the per-type table, so the report never
 //! misattributes statistics it does not understand.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader};

@@ -16,6 +16,8 @@
 //! exits — 0 only if a host sample was consumed, making it a cheap
 //! end-to-end check that streaming works.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 

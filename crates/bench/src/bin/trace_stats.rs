@@ -7,6 +7,8 @@
 //! trace-stats --file trace.bin          # recorded CMPTRC01 trace
 //! ```
 
+#![forbid(unsafe_code)]
+
 use cmpsim_trace::analysis::{profile, ReuseDistances};
 use cmpsim_trace::{file, CacheScale, SyntheticWorkload, Workload};
 

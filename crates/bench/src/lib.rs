@@ -3,7 +3,7 @@
 //! Each experiment module corresponds to one table or figure of §5 of
 //! *"Adaptive Mechanisms and Policies for Managing Cache Hierarchies in
 //! Chip Multiprocessors"* and prints output in the same shape as the
-//! paper reports it. `exp-all` (see `src/bin/`) runs everything and is
+//! paper reports it. `exp all` (see `src/bin/exp.rs`) runs everything and is
 //! the source of `EXPERIMENTS.md`.
 //!
 //! Experiments run at a [`Profile`]-selected scale: `quick` (default)
@@ -11,12 +11,11 @@
 //! paper's full 8 MB L2 / 16 MB L3 geometry with longer streams. Select
 //! with the `CMPSIM_PROFILE` environment variable.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 mod profile;
 mod table;
 
-pub use profile::{
-    effective_jobs, effective_shards, jobs_from_args, parallel_runs, run_grid, set_jobs,
-    set_shards, shards_from_args, Profile,
-};
+pub use profile::{effective_jobs, jobs_from_args, parallel_runs, run_grid, set_jobs, Profile};
 pub use table::Table;

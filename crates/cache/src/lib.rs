@@ -29,6 +29,7 @@
 //! assert_eq!(tags.probe(line).map(|(_, s)| s), Some(1));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,6 +25,7 @@
 //! (queue space, ring bandwidth) is judged by the callers, which then
 //! feed `Retry`-style responses into the collector.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -118,6 +118,7 @@ pub const CLOCK_BACKEND: &str = "instant";
 /// comparable.
 #[cfg(target_arch = "x86_64")]
 #[inline]
+#[allow(unsafe_code)] // the workspace's only unsafe: one intrinsic read
 pub fn now_ticks() -> u64 {
     // SAFETY: RDTSC is unprivileged and always available on x86_64.
     unsafe { core::arch::x86_64::_rdtsc() }

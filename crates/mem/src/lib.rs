@@ -12,6 +12,7 @@
 //! are not enough hardware resources to take the line immediately", §2);
 //! those retries are the signal the paper's adaptive WBHT switch keys on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -17,6 +17,7 @@
 //! Write-Back History Table exploits: eliminating useless clean
 //! write-backs frees address slots, data lanes, and L3 queue slots.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

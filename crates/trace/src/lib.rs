@@ -24,6 +24,7 @@
 //! The crate also defines the [`TraceRecord`] currency and a compact
 //! binary [`mod@file`] format for storing and replaying traces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -31,12 +32,10 @@ pub mod analysis;
 pub mod file;
 mod presets;
 mod record;
-mod sharded;
 mod source;
 mod synth;
 
 pub use presets::{CacheScale, Workload};
 pub use record::{MemOp, ThreadId, TraceRecord};
-pub use sharded::ShardedWorkload;
 pub use source::{ReferenceSource, TracePlayback};
 pub use synth::{SegmentMix, SyntheticWorkload, WorkloadError, WorkloadParams};

@@ -7,8 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+# Tier-1's root `cargo test -q` plus every crate's unit, integration and
+# doc tests (cache mirror/properties, calendar-queue differential,
+# coherence properties, grid failure paths, the exp CLI).
+cargo test --workspace -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -83,36 +86,6 @@ for pol in baseline wbht snarf combined rdcb hybrid wbht+hybrid; do
     fi
 done
 
-echo "==> shard matrix smoke (cmpsim --shards 1,2,4 vs serial, 2 policies)"
-# The sharded frontend must be a pure wall-clock optimization: for a
-# representative pair of policies, every shard count must emit JSON
-# byte-identical to the plain serial run (which omits --shards).
-for pol in baseline combined; do
-    shard_ref=$(mktemp)
-    ./target/release/cmpsim --policy "$pol" --refs 2000 --seed 42 --json > "$shard_ref"
-    for shards in 1 2 4; do
-        if ! ./target/release/cmpsim --policy "$pol" --refs 2000 --seed 42 \
-            --shards "$shards" --json | diff -q - "$shard_ref" >/dev/null; then
-            rm -f "$shard_ref"
-            echo "verify: FAILED — cmpsim --shards $shards diverged from serial (--policy $pol)" >&2
-            exit 1
-        fi
-    done
-    rm -f "$shard_ref"
-done
-
-echo "==> single-run sharding throughput gate (scripts/bench.sh --shard-check)"
-# 20% no-regression floor on the serial and --shards 4 pinned entries in
-# BENCH_PR9.json, plus a 1.5x single-run speedup floor on >=8-core
-# hosts. CMPSIM_BENCH_NO_GATE=1 demotes to a warning.
-./scripts/bench.sh --shard-check
-
-echo "==> packed tag-array static layout assertions"
-# The packed word must stay exactly 8 bytes (the whole point of the
-# backend); the randomized mirror suite cross-checks packed vs generic
-# behavior in the same binary.
-cargo test -q -p cmpsim-cache --test mirror >/dev/null
-
 echo "==> legacy-tags differential oracle smoke (generic vs packed build)"
 # A whole-build diff: the simulator compiled on the generic tag-array
 # backend must emit byte-identical JSON to the default packed build.
@@ -129,10 +102,10 @@ if ! ./target/legacy-tags/release/cmpsim --policy combined --refs 2000 --seed 42
 fi
 rm -f "$legacy_ref"
 
-echo "==> policy face-off harness gate (exp_policy_faceoff --check)"
+echo "==> policy face-off harness gate (exp policy-faceoff --check)"
 # Every contender must complete, the new policies must populate their
 # report sections, and the span attribution must record fills.
-CMPSIM_PROFILE=smoke ./target/release/exp_policy_faceoff --check
+CMPSIM_PROFILE=smoke ./target/release/exp policy-faceoff --check
 
 echo "==> live telemetry stream smoke (profile_report + telemetry_tail)"
 # End to end: a --jobs 2 grid serves frames on a Unix socket while a
@@ -156,20 +129,20 @@ fi
 rm -f "$tel_sock"
 
 echo "==> parallel experiment driver is a pure wall-clock optimization"
-# Smoke-profile exp_all serial vs parallel: identical numbers, and the
+# Smoke-profile `exp all` serial vs parallel: identical numbers, and the
 # parallel run must actually be parallel (faster on multi-core hosts).
 smoke_serial=$(mktemp)
 smoke_par=$(mktemp)
 trap 'rm -f "$smoke_serial" "$smoke_par"' EXIT
 t0=$(date +%s.%N)
-CMPSIM_PROFILE=smoke ./target/release/exp_all --jobs 1 > "$smoke_serial"
+CMPSIM_PROFILE=smoke ./target/release/exp all --jobs 1 > "$smoke_serial"
 t1=$(date +%s.%N)
-CMPSIM_PROFILE=smoke ./target/release/exp_all --jobs "$(nproc)" > "$smoke_par"
+CMPSIM_PROFILE=smoke ./target/release/exp all --jobs "$(nproc)" > "$smoke_par"
 t2=$(date +%s.%N)
 # Per-experiment wall-clock lines differ by construction; strip them.
 if ! diff <(grep -v '^(.*s)$' "$smoke_serial") <(grep -v '^(.*s)$' "$smoke_par") >/dev/null; then
     diff <(grep -v '^(.*s)$' "$smoke_serial") <(grep -v '^(.*s)$' "$smoke_par") | head -20 >&2
-    echo "verify: FAILED — exp_all --jobs $(nproc) diverged from --jobs 1" >&2
+    echo "verify: FAILED — exp all --jobs $(nproc) diverged from --jobs 1" >&2
     exit 1
 fi
 serial_s=$(echo "$t1 $t0" | awk '{printf "%.1f", $1 - $2}')

@@ -10,7 +10,7 @@
 //! ```text
 //! cmpsim [--workload tp|cpw2|notesbench|trade2] [--policy baseline|wbht|snarf|combined]
 //!        [--entries N] [--outstanding 1..6] [--refs N] [--scale N] [--seed N]
-//!        [--shards N] [--cores N]
+//!        [--cores N]
 //!        [--trace FILE] [--granularity N] [--global-wbht] [--csv] [--json]
 //!        [--audit] [--metrics-out FILE]
 //!        [--trace-events FILE] [--interval-stats N]
@@ -18,6 +18,8 @@
 //!        [--profile-host] [--profile-stride N] [--stream-telemetry[=PATH]]
 //!        [--progress[=SECS]] [--quiet] [--verbose]
 //! ```
+
+#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
@@ -42,7 +44,6 @@ struct Args {
     refs: u64,
     scale: u64,
     seed: u64,
-    shards: usize,
     cores: Option<u8>,
     trace: Option<String>,
     granularity: u64,
@@ -74,7 +75,6 @@ impl Default for Args {
             refs: 20_000,
             scale: 8,
             seed: 0x1BAD_B002,
-            shards: 1,
             cores: None,
             trace: None,
             granularity: 1,
@@ -115,13 +115,12 @@ fn parse_args() -> Result<Args, String> {
             "--policy" | "-p" => args.policy = value("--policy")?.to_lowercase(),
             "--entries" => args.entries = parse_num(&value("--entries")?)?,
             "--outstanding" | "-o" => {
-                args.outstanding = parse_num(&value("--outstanding")?)? as u32
+                args.outstanding = parse_int("--outstanding", &value("--outstanding")?)?
             }
             "--refs" | "-n" => args.refs = parse_num(&value("--refs")?)?,
             "--scale" => args.scale = parse_num(&value("--scale")?)?,
             "--seed" => args.seed = parse_num(&value("--seed")?)?,
-            "--shards" => args.shards = parse_num(&value("--shards")?)?.max(1) as usize,
-            "--cores" => args.cores = Some(parse_num(&value("--cores")?)? as u8),
+            "--cores" => args.cores = Some(parse_int("--cores", &value("--cores")?)?),
             "--trace" => args.trace = Some(value("--trace")?),
             "--granularity" => args.granularity = parse_num(&value("--granularity")?)?,
             "--global-wbht" => args.global_wbht = true,
@@ -139,7 +138,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--profile-host" => args.profile_host = true,
             "--profile-stride" => {
-                args.profile_stride = parse_num(&value("--profile-stride")?)?.max(1) as u32;
+                args.profile_stride =
+                    parse_int::<u32>("--profile-stride", &value("--profile-stride")?)?.max(1);
             }
             "--stream-telemetry" => args.stream_telemetry = Some(None),
             "--progress" => args.progress_secs = Some(5.0),
@@ -237,6 +237,13 @@ fn parse_num(s: &str) -> Result<u64, String> {
     }
 }
 
+/// [`parse_num`] narrowed to the flag's type: a value that does not fit
+/// is an error naming the flag and the value as typed, never a silent
+/// truncation.
+fn parse_int<T: TryFrom<u64>>(flag: &str, s: &str) -> Result<T, String> {
+    T::try_from(parse_num(s)?).map_err(|_| format!("{flag} {s}: value out of range"))
+}
+
 const HELP: &str = "cmpsim - CMP cache-hierarchy simulator (ISCA 2005 reproduction)
 
 USAGE:
@@ -252,9 +259,6 @@ OPTIONS:
     -n, --refs N           references per thread [20000]
         --scale N          capacity divisor vs the paper system [8]
         --seed N           workload RNG seed
-        --shards N         generate the workload on N producer threads
-                           feeding the event loop through lock-free
-                           rings; output is byte-identical to serial [1]
         --cores N          cores on the chip (multiple of 2; scales the
                            L2 agent count on the ring with it) [8]
         --trace FILE       replay a CMPTRC01 trace instead of a synthetic workload
@@ -345,27 +349,10 @@ fn real_main() -> Result<(), String> {
 
     let mut sys = match &args.trace {
         Some(path) => {
-            if args.shards > 1 {
-                return Err("--shards applies to synthetic workloads, not --trace playback".into());
-            }
             let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
             let records = trace_file::read_trace(&data[..]).map_err(|e| format!("{path}: {e}"))?;
             let playback = TracePlayback::new(path.clone(), records, cfg.num_threads(), 1);
             System::with_source(cfg.clone(), Box::new(playback)).map_err(|e| e.to_string())?
-        }
-        None if args.shards > 1 => {
-            // Sharded frontend: generation moves to worker threads with
-            // ring-hop-bounded run-ahead; output stays byte-identical.
-            use cmp_hierarchies::engine::shard::Lookahead;
-            use cmp_hierarchies::trace::{ShardedWorkload, SyntheticWorkload};
-            let params = args.workload.params(cfg.num_threads(), cfg.cache_scale());
-            let generator = SyntheticWorkload::new(params, cfg.seed).map_err(|e| e.to_string())?;
-            let source = ShardedWorkload::spawn_with_lookahead(
-                generator,
-                args.shards,
-                Lookahead::from_ring_hop(cfg.ring.hop_cycles),
-            );
-            System::with_source(cfg.clone(), Box::new(source)).map_err(|e| e.to_string())?
         }
         None => {
             let params = args.workload.params(cfg.num_threads(), cfg.cache_scale());

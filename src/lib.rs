@@ -17,6 +17,8 @@
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture.
 
+#![forbid(unsafe_code)]
+
 pub use cmp_adaptive_wb as adaptive;
 pub use cmpsim_cache as cache;
 pub use cmpsim_coherence as coherence;

@@ -51,7 +51,9 @@ fn main() {
         sys.run(1500);
         if let Err(v) = sys.check_invariants() {
             println!("VIOLATION at seed {seed}: {v}");
-            println!("  line {:#x}, holders {:?}", v.line(), v.holders());
+            if let Some(line) = v.line() {
+                println!("  line {line:#x}, holders {:?}", v.holders());
+            }
             return;
         }
     }

@@ -112,6 +112,8 @@ impl RunReport {
         m.set_counter("mem_writes", self.mem.writes);
         m.set_counter("mshr_high_water", s.mshr_high_water);
         m.set_counter("wbq_high_water", s.wbq_high_water);
+        m.set_counter("fill_wbq_stalls", s.fill_wbq_stalls());
+        m.set_counter("fill_wbq_stall_cycles", s.fill_wbq_stall_cycles());
         m.set_counter("event_queue_high_water", s.event_queue_high_water);
         m.set_counter("l3_read_queue_high_water", self.l3.read_queue_high_water);
         m.set_counter("l3_data_queue_high_water", self.l3.data_queue_high_water);
@@ -380,6 +382,10 @@ mod tests {
         assert!(json.contains("\"mshr_high_water\":"));
         assert!(json.contains("\"wbq_high_water\":"));
         assert!(json.contains("\"l3_read_queue_high_water\":"));
+        assert!(json.contains("\"fill_wbq_stalls\":"));
+        assert!(json.contains("\"fill_wbq_stall_cycles\":"));
+        let (header, _) = r.to_csv();
+        assert!(header.contains("fill_wbq_stall_cycles"));
     }
 
     #[test]

@@ -139,7 +139,8 @@ pub struct DecisionAudit {
     /// Retry-switch state flips observed at decision sites.
     flips: u64,
     last_engaged: Option<bool>,
-    /// Aborts never re-missed, classified correct at finalize.
+    /// Aborts never re-missed, classified correct by default: at
+    /// finalize, or when a later abort of the same line superseded them.
     unresolved_aborts: u64,
     /// Retry-switch windows that ended engaged (set at finalize).
     engaged_windows: u64,
@@ -202,7 +203,14 @@ impl DecisionAudit {
         }
         if abort {
             s.aborts += 1;
-            self.pending_aborts.insert(raw, l2 as u8);
+            // A pending abort of the same line (by another L2, or before
+            // a snarf brought the line back) is superseded: the line
+            // stayed on chip in between, so that dropped write-back was
+            // never needed. Classify it correct, as finalize would.
+            if let Some(prev) = self.pending_aborts.insert(raw, l2 as u8) {
+                self.per_l2[prev as usize].aborts_correct += 1;
+                self.unresolved_aborts += 1;
+            }
             let idx = self.set_index(raw);
             self.heat_abort[idx] += 1;
         } else {
@@ -396,6 +404,21 @@ mod tests {
         // Re-missing a line with no pending abort is a no-op.
         a.resolve_abort(999, true, 1000);
         assert_eq!(a.summary().totals.aborts_mispredicted, 1);
+    }
+
+    #[test]
+    fn superseded_abort_is_classified_not_lost() {
+        let mut a = audit();
+        a.record_wbht_decision(3, 100, true, true);
+        a.record_wbht_decision(2, 100, true, true);
+        a.resolve_abort(100, true, a.est_l3_fill + 10);
+        a.finalize(0, 0);
+        let s = a.summary();
+        assert_eq!(s.totals.aborts, 2);
+        assert_eq!(s.per_l2[3].aborts_correct, 1);
+        assert_eq!(s.per_l2[2].aborts_mispredicted, 1);
+        assert_eq!(s.unresolved_aborts, 1);
+        assert!((s.resolved_coverage() - 1.0).abs() < 1e-12);
     }
 
     #[test]

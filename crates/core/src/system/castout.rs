@@ -212,6 +212,7 @@ impl System {
         self.l2s[i].wbq.remove(line);
         self.l2s[i].castouts_inflight.remove(&line);
         self.queue.push(t_seen + 1, Ev::WbDrain(txn.src));
+        self.wake_parked_fills(i, now);
     }
 
     /// Castout over a dedicated private-L3 bus (§7 organization): no
@@ -317,6 +318,7 @@ impl System {
         self.l2s[i].wbq.remove(line);
         self.l2s[i].castouts_inflight.remove(&line);
         self.queue.push(arrive + 1, Ev::WbDrain(txn.src));
+        self.wake_parked_fills(i, now);
     }
 
     pub(super) fn handle_wb_drain(&mut self, now: Cycle, l2id: L2Id) {
@@ -366,6 +368,7 @@ impl System {
                 }
                 if abort {
                     self.l2s[i].wbq.remove(entry.line);
+                    self.wake_parked_fills(i, now);
                     self.stats.wb.clean_aborted += 1;
                     self.telemetry.emit(now, || SimEvent::CastoutAborted {
                         l2: i as u32,

@@ -1,23 +1,37 @@
 //! Completion layer: demand fills into the requesting L2 (with install
-//! sanitizing and eviction into the write-back queue), snarf-fill
+//! sanitizing and eviction into the write-back queue), fills parked on a
+//! full write-back queue and their three wake sources, snarf-fill
 //! absorption at peer L2s, system-wide invalidations, and MSHR / thread
 //! wake-up on miss completion.
 
 use cmpsim_cache::{InsertPosition, LineAddr};
 use cmpsim_coherence::{L2Id, L2State};
+use cmpsim_engine::spans::{SpanId, SpanKind, SpanOutcome, SpanPhase};
 use cmpsim_engine::Cycle;
 
 use crate::config::L3Organization;
-use crate::system::l2::SnarfFlags;
+use crate::system::l2::{ParkedFill, SnarfFlags};
 use crate::system::system::Ev;
 use crate::system::thread::Park;
 use crate::system::System;
 
+/// Span id of the `nth` fill to park on L2 `i`: the top bit set, so it
+/// never collides with a transaction id (those stay far below 2^63).
+fn stall_span(i: usize, nth: u64) -> SpanId {
+    1 << 63 | (i as u64) << 40 | nth
+}
+
 impl System {
     pub(super) fn handle_fill(&mut self, now: Cycle, l2id: L2Id, line: LineAddr, state: L2State) {
         let i = l2id.index();
+        // A woken fill comes back through here with its parked entry
+        // still queued.
+        let parked = self.l2s[i].parked_index(line);
         if self.l2s[i].state_of(line).is_some() {
             self.inbound_remove(i as u8, line.raw(), Self::INBOUND_FILL);
+            if let Some(k) = parked {
+                self.unpark(now, i, k);
+            }
             // Upgrade completion, or the line arrived by other means.
             if state == L2State::Modified {
                 self.l2s[i].set_state(line, L2State::Modified);
@@ -27,22 +41,40 @@ impl System {
             }
             self.l2s[i].touch(line);
             self.complete_miss(now, l2id, line);
+            if parked.is_some() {
+                self.wake_parked_fills(i, now);
+            }
             return;
         }
         // A fill that must evict needs write-back queue space (§2.1:
-        // a full queue blocks L2 misses). The inbound-fill marker stays
-        // set while the fill is blocked — the line is still in transit
-        // and snoops must keep retrying against it.
+        // a full queue blocks L2 misses): it parks until a slot frees,
+        // its set gains an invalid way, or a snarf lands its line. The
+        // inbound-fill marker stays set while the fill is parked — the
+        // line is still in transit and snoops must keep retrying
+        // against it.
         if self.l2s[i].wbq.is_full() && !self.l2s[i].has_invalid_way(line) {
-            self.queue.push(
-                now + 8,
-                Ev::Fill {
-                    l2: l2id,
-                    line,
-                    state,
-                },
-            );
+            match parked {
+                // Woken, but the slot was taken first: back to sleep in
+                // the same place in line.
+                Some(k) => self.l2s[i].parked[k].woken = false,
+                None => {
+                    self.stats.l2[i].fill_wbq_stalls += 1;
+                    let span = stall_span(i, self.stats.l2[i].fill_wbq_stalls);
+                    self.spans
+                        .start(span, SpanKind::WbqStall, i as u32, line.raw(), now);
+                    self.l2s[i].parked.push_back(ParkedFill {
+                        line,
+                        state,
+                        span,
+                        since: now,
+                        woken: false,
+                    });
+                }
+            }
             return;
+        }
+        if let Some(k) = parked {
+            self.unpark(now, i, k);
         }
         self.inbound_remove(i as u8, line.raw(), Self::INBOUND_FILL);
         let state = self.sanitize_install(i, line, state);
@@ -64,6 +96,67 @@ impl System {
             self.on_l2_eviction(now, i, vline, vst);
         }
         self.complete_miss(now, l2id, line);
+        if parked.is_some() {
+            // The slot this fill was woken for may have gone unused (it
+            // found an invalid way): pass it on.
+            self.wake_parked_fills(i, now);
+        }
+    }
+
+    /// Removes parked entry `k` of L2 `i` as its fill completes,
+    /// charging the wait to the stall counter and the stall span.
+    fn unpark(&mut self, now: Cycle, i: usize, k: usize) {
+        let p = self.l2s[i].parked.remove(k).expect("parked index in range");
+        self.stats.l2[i].fill_wbq_stall_cycles += now - p.since;
+        self.spans.mark(p.span, SpanPhase::WbqBlocked, now);
+        self.spans.finish(p.span, SpanOutcome::ResolvedLocal, now);
+    }
+
+    /// Re-dispatches parked entry `k` of L2 `i` as a fill at `at`.
+    fn wake_parked(&mut self, i: usize, k: usize, at: Cycle) {
+        let p = &mut self.l2s[i].parked[k];
+        p.woken = true;
+        let ev = Ev::Fill {
+            l2: L2Id::new(i as u8),
+            line: p.line,
+            state: p.state,
+        };
+        self.queue.push(at, ev);
+    }
+
+    /// The write-back-queue wake source, run whenever an entry of L2
+    /// `i`'s queue retires: wakes the oldest un-woken parked fills until
+    /// the woken count equals the free slots. Waking more would only
+    /// re-park them.
+    pub(super) fn wake_parked_fills(&mut self, i: usize, at: Cycle) {
+        let l2 = &self.l2s[i];
+        if l2.parked.is_empty() {
+            return;
+        }
+        let free = l2.wbq.capacity() - l2.wbq.len();
+        let mut woken = l2.parked.iter().filter(|p| p.woken).count();
+        for k in 0..l2.parked.len() {
+            if woken >= free {
+                break;
+            }
+            if !self.l2s[i].parked[k].woken {
+                self.wake_parked(i, k, at);
+                woken += 1;
+            }
+        }
+    }
+
+    /// The invalidation wake source: a line just left L2 `i`'s tags,
+    /// so parked fills whose set now has an invalid way can install
+    /// without evicting.
+    fn wake_fills_with_free_way(&mut self, i: usize) {
+        let at = self.queue.now();
+        for k in 0..self.l2s[i].parked.len() {
+            let p = self.l2s[i].parked[k];
+            if !p.woken && self.l2s[i].has_invalid_way(p.line) {
+                self.wake_parked(i, k, at);
+            }
+        }
     }
 
     /// Downgrades an install state that a concurrent snarf or fill has
@@ -117,11 +210,13 @@ impl System {
                 self.trace(line, &|| format!("invalidate L2#{j} (keeper {keeper})"));
                 self.invalidate_l1s_of(j, line);
                 self.finalize_snarf_flags(j, line);
+                self.wake_fills_with_free_way(j);
             }
             if self.l2s[j].wbq.remove(line).is_some() {
                 // The entry was claimed; if its castout was in flight the
                 // pending bus event will notice the mismatch and move on.
                 self.l2s[j].castouts_inflight.remove(&line);
+                self.wake_parked_fills(j, self.queue.now());
             }
         }
         if l3_done.is_none() {
@@ -252,6 +347,13 @@ impl System {
                     .insert(line.raw(), SnarfFlags::default());
                 self.stats.snarf.snarfed += 1;
                 self.stats.l2[i].snarfs_accepted += 1;
+                // The snarf wake source: this L2's own demand fill for
+                // the line was parked; it now completes as a hit.
+                if let Some(k) = self.l2s[i].parked_index(line) {
+                    if !self.l2s[i].parked[k].woken {
+                        self.wake_parked(i, k, now);
+                    }
+                }
             }
             None => {
                 // Resources changed since the snoop; fall back to the L3
@@ -275,11 +377,184 @@ impl System {
 
 #[cfg(test)]
 mod tests {
-    use cmpsim_cache::{InsertPosition, LineAddr};
+    use cmpsim_cache::{InsertPosition, LineAddr, WbEntry};
     use cmpsim_coherence::{L2Id, L2State};
+    use cmpsim_engine::spans::{SpanKind, SpanPhase, SpanTracer};
+    use cmpsim_engine::Cycle;
+    use cmpsim_trace::ThreadId;
 
-    use crate::policy::PolicyConfig;
+    use crate::policy::{PolicyConfig, SnarfConfig};
+    use crate::system::system::Ev;
     use crate::system::testutil::system;
+    use crate::system::System;
+
+    /// The `k`-th line of the L2 set `base` maps to (same slice, same
+    /// set, at the 1/16-scale geometry of `testutil::system`).
+    fn in_set(sys: &System, base: u64, k: u64) -> LineAddr {
+        let cfg = sys.config();
+        let sets = cfg.l2_slice_bytes / cfg.line_bytes / cfg.l2_assoc;
+        LineAddr::new(base + k * cfg.l2_slices * sets)
+    }
+
+    /// Fills every way of `base`'s set in L2#0 with clean shared lines.
+    fn fill_set(sys: &mut System, base: u64) {
+        for k in 0..sys.config().l2_assoc {
+            let line = in_set(sys, base, k);
+            sys.l2s[0].fill(line, L2State::Shared, InsertPosition::Mru);
+        }
+    }
+
+    /// Fills L2#0's write-back queue to capacity.
+    fn fill_wbq(sys: &mut System) {
+        let mut raw = 1 << 30;
+        while !sys.l2s[0].wbq.is_full() {
+            let line = LineAddr::new(raw);
+            assert!(sys.l2s[0].wbq.push(WbEntry { line, dirty: false }));
+            raw += 1;
+        }
+    }
+
+    /// Delivers a demand fill of `line` to L2#0 at `now`.
+    fn deliver(sys: &mut System, now: Cycle, line: LineAddr) {
+        sys.handle_fill(now, L2Id::new(0), line, L2State::SharedLast);
+    }
+
+    /// Every fill the event queue holds, in pop order.
+    fn queued_fills(sys: &mut System) -> Vec<(Cycle, LineAddr)> {
+        let mut fills = Vec::new();
+        while let Some((t, ev)) = sys.queue.pop() {
+            if let Ev::Fill { line, .. } = ev {
+                fills.push((t, line));
+            }
+        }
+        fills
+    }
+
+    /// Frees the oldest slot of L2#0's write-back queue at `now`, as a
+    /// castout retiring would.
+    fn retire_oldest_castout(sys: &mut System, now: Cycle) {
+        let line = sys.l2s[0].wbq.nth(0).expect("queue not empty").line;
+        sys.l2s[0].wbq.remove(line);
+        sys.wake_parked_fills(0, now);
+    }
+
+    fn parked_lines(sys: &System) -> Vec<(LineAddr, bool)> {
+        sys.l2s[0]
+            .parked
+            .iter()
+            .map(|p| (p.line, p.woken))
+            .collect()
+    }
+
+    #[test]
+    fn freed_slot_wakes_only_the_oldest_parked_fill() {
+        let mut sys = system(PolicyConfig::baseline());
+        let spans = SpanTracer::sampled(1);
+        sys.set_span_tracer(spans.clone());
+        fill_set(&mut sys, 8);
+        fill_wbq(&mut sys);
+        let (a, b) = (in_set(&sys, 8, 100), in_set(&sys, 8, 101));
+        deliver(&mut sys, 10, a);
+        deliver(&mut sys, 12, b);
+        assert_eq!(parked_lines(&sys), [(a, false), (b, false)]);
+        assert_eq!(sys.stats.l2[0].fill_wbq_stalls, 2);
+        assert!(sys.queue.is_empty(), "a parked fill schedules nothing");
+
+        retire_oldest_castout(&mut sys, 30);
+        assert_eq!(parked_lines(&sys), [(a, true), (b, false)]);
+        assert_eq!(queued_fills(&mut sys), [(30, a)]);
+        // The woken fill installs, evicting into the freed slot; the
+        // pump re-run after it finds no slot left for the younger one.
+        deliver(&mut sys, 30, a);
+        assert!(sys.l2s[0].state_of(a).is_some());
+        assert!(sys.l2s[0].wbq.is_full());
+        assert_eq!(parked_lines(&sys), [(b, false)]);
+        assert_eq!(sys.stats.l2[0].fill_wbq_stall_cycles, 20);
+        assert_eq!(queued_fills(&mut sys), []);
+        // The wait is a stall span of its own: one wbq_blocked segment.
+        let stall = &spans.finished_spans()[0];
+        assert_eq!(stall.kind, SpanKind::WbqStall);
+        assert_eq!(stall.line, a.raw());
+        assert_eq!(stall.marks, [(SpanPhase::WbqBlocked, 30)]);
+        assert_eq!(stall.queue_wait(), 20);
+    }
+
+    #[test]
+    fn invalidation_wakes_only_the_set_matching_fill() {
+        let mut sys = system(PolicyConfig::baseline());
+        fill_set(&mut sys, 8);
+        fill_set(&mut sys, 12);
+        fill_wbq(&mut sys);
+        let (a, c) = (in_set(&sys, 8, 100), in_set(&sys, 12, 100));
+        deliver(&mut sys, 10, a);
+        deliver(&mut sys, 11, c);
+        // A peer's RFO invalidates one line of `c`'s set in L2#0.
+        let victim = in_set(&sys, 12, 3);
+        sys.apply_invalidations(L2Id::new(1), victim, None);
+        assert_eq!(parked_lines(&sys), [(a, false), (c, true)]);
+        assert_eq!(queued_fills(&mut sys), [(0, c)]);
+        // It installs into the invalid way without touching the queue.
+        deliver(&mut sys, 40, c);
+        assert!(sys.l2s[0].state_of(c).is_some());
+        assert!(sys.l2s[0].wbq.is_full());
+        assert_eq!(parked_lines(&sys), [(a, false)]);
+    }
+
+    #[test]
+    fn snarf_of_a_parked_fills_line_completes_its_miss() {
+        let mut sys = system(PolicyConfig::snarf(SnarfConfig::default()));
+        sys.run(50); // thread contexts for the MSHR waiter
+        sys.assert_invariants();
+        let t0 = sys.queue.now();
+        fill_set(&mut sys, 8);
+        fill_wbq(&mut sys);
+        let a = in_set(&sys, 8, 100);
+        let t = ThreadId::new(0);
+        assert_eq!(sys.l2s[0].mshrs.allocate(a, t), Ok(true));
+        sys.miss_issue.insert((0, a.raw()), t0);
+        sys.inbound_insert(0, a.raw(), System::INBOUND_FILL);
+        deliver(&mut sys, t0 + 60, a);
+        assert_eq!(parked_lines(&sys), [(a, false)]);
+
+        // A peer's castout of the same line is snarfed into L2#0.
+        sys.inbound_insert(0, a.raw(), System::INBOUND_SNARF);
+        sys.handle_snarf_fill(t0 + 75, L2Id::new(0), a, false);
+        assert_eq!(sys.l2s[0].state_of(a), Some(L2State::SharedLast));
+        assert_eq!(parked_lines(&sys), [(a, true)]);
+        assert_eq!(queued_fills(&mut sys), [(t0 + 75, a)]);
+        deliver(&mut sys, t0 + 75, a);
+        assert!(sys.l2s[0].parked.is_empty());
+        assert!(sys.l2s[0].mshrs.is_empty(), "the miss completed");
+        assert!(!sys.inbound_any(0, a.raw()));
+        assert!(sys.miss_issue.is_empty());
+        assert_eq!(sys.stats.l2[0].fill_wbq_stall_cycles, 15);
+    }
+
+    #[test]
+    fn woken_fill_that_loses_the_slot_stays_parked_in_order() {
+        let mut sys = system(PolicyConfig::baseline());
+        fill_set(&mut sys, 8);
+        fill_set(&mut sys, 12);
+        fill_wbq(&mut sys);
+        let (a, b) = (in_set(&sys, 8, 100), in_set(&sys, 8, 101));
+        deliver(&mut sys, 10, a);
+        deliver(&mut sys, 11, b);
+        retire_oldest_castout(&mut sys, 20);
+        assert_eq!(queued_fills(&mut sys), [(20, a)]);
+        // A fresh fill in another set takes the slot before `a` runs.
+        let fresh = in_set(&sys, 12, 100);
+        deliver(&mut sys, 20, fresh);
+        assert!(sys.l2s[0].wbq.is_full());
+        deliver(&mut sys, 20, a);
+        assert_eq!(parked_lines(&sys), [(a, false), (b, false)]);
+        assert_eq!(
+            sys.stats.l2[0].fill_wbq_stalls, 2,
+            "re-parking is no new stall"
+        );
+        // The next free slot goes to `a` again: it kept its place.
+        retire_oldest_castout(&mut sys, 25);
+        assert_eq!(parked_lines(&sys), [(a, true), (b, false)]);
+    }
 
     #[test]
     fn sanitize_demotes_exclusive_against_peers() {

@@ -104,6 +104,9 @@ impl System {
             if let Some((vline, vst)) = self.l2s[i].fill(line, st, InsertPosition::Mru) {
                 self.on_l2_eviction(t_now, i, vline, vst);
             }
+            // Net of the eviction the recovery may have caused, a slot
+            // can have freed for a parked fill.
+            self.wake_parked_fills(i, t_now);
             self.trace(line, &|| format!("wbq-recovery L2#{i} -> {st}"));
             self.stats.l2[i].wbq_recoveries += 1;
             resident = Some(st);

@@ -1,5 +1,6 @@
 //! Typed protocol-invariant checking: at most one dirty owner per line,
-//! `E`/`M` exclusivity, and at most one `SL` holder. Violations are
+//! `E`/`M` exclusivity, at most one `SL` holder, and — once the event
+//! queue has run dry — no work left behind in any L2. Violations are
 //! reported as structured [`InvariantViolation`] values so tools (the
 //! `debug_invariant` bisector) can act on them without parsing panic
 //! strings; tests use the panicking [`System::assert_invariants`]
@@ -38,15 +39,28 @@ pub enum InvariantViolation {
         /// Every holder of the line as `(l2 index, state)`.
         holders: Vec<(usize, L2State)>,
     },
+    /// The event queue is empty, yet an L2 structure still holds work
+    /// that no pending event will finish: a lost wake-up or a leaked
+    /// entry.
+    NotDrained {
+        /// Index of the L2 the work belongs to.
+        l2: usize,
+        /// The structure still holding it.
+        structure: &'static str,
+        /// Entries left in that structure for this L2.
+        entries: usize,
+    },
 }
 
 impl InvariantViolation {
-    /// The raw address of the offending line.
-    pub fn line(&self) -> u64 {
+    /// The raw address of the offending line (`None` for
+    /// [`NotDrained`](Self::NotDrained), which concerns a structure).
+    pub fn line(&self) -> Option<u64> {
         match self {
             InvariantViolation::MultipleDirtyOwners { line, .. }
             | InvariantViolation::ExclusiveWithSharers { line, .. }
-            | InvariantViolation::MultipleSharedLast { line, .. } => *line,
+            | InvariantViolation::MultipleSharedLast { line, .. } => Some(*line),
+            InvariantViolation::NotDrained { .. } => None,
         }
     }
 
@@ -56,6 +70,7 @@ impl InvariantViolation {
             InvariantViolation::MultipleDirtyOwners { holders, .. }
             | InvariantViolation::ExclusiveWithSharers { holders, .. }
             | InvariantViolation::MultipleSharedLast { holders, .. } => holders,
+            InvariantViolation::NotDrained { .. } => &[],
         }
     }
 }
@@ -77,6 +92,14 @@ impl std::fmt::Display for InvariantViolation {
                     .count();
                 write!(f, "line {line:#x}: {sl} SL holders: {holders:?}")
             }
+            InvariantViolation::NotDrained {
+                l2,
+                structure,
+                entries,
+            } => write!(
+                f,
+                "L2#{l2} not drained: {entries} entries left in its {structure}"
+            ),
         }
     }
 }
@@ -86,9 +109,14 @@ impl std::error::Error for InvariantViolation {}
 impl System {
     /// Verifies protocol invariants across all caches: at most one dirty
     /// owner per line, `E`/`M` exclusivity, at most one `SL` holder.
+    /// When the event queue is empty (a run has drained) it also
+    /// requires every L2 to be idle: no parked fills, empty MSHRs and
+    /// write-back queue, no castouts in flight, and no inbound transfers
+    /// or miss issue times left for it.
     ///
     /// Returns the first violation found, with the offending line and
-    /// its holders, or `Ok(())` when the caches are consistent.
+    /// its holders (or the undrained L2 and structure), or `Ok(())` when
+    /// the caches are consistent.
     ///
     /// # Errors
     ///
@@ -113,6 +141,38 @@ impl System {
             let sl = hs.iter().filter(|(_, s)| *s == L2State::SharedLast).count();
             if sl > 1 {
                 return Err(InvariantViolation::MultipleSharedLast { line, holders: hs });
+            }
+        }
+        if self.queue.is_empty() {
+            self.check_drained()?;
+        }
+        Ok(())
+    }
+
+    /// The drain half of [`check_invariants`](Self::check_invariants).
+    fn check_drained(&self) -> Result<(), InvariantViolation> {
+        for (i, l2) in self.l2s.iter().enumerate() {
+            let keyed = |k: &(u8, u64)| usize::from(k.0) == i;
+            let left = [
+                ("parked fills", l2.parked.len()),
+                ("MSHRs", l2.mshrs.len()),
+                ("write-back queue", l2.wbq.len()),
+                ("castouts in flight", l2.castouts_inflight.len()),
+                (
+                    "inbound transfers",
+                    self.inbound.keys().filter(|k| keyed(k)).count(),
+                ),
+                (
+                    "miss issue times",
+                    self.miss_issue.keys().filter(|k| keyed(k)).count(),
+                ),
+            ];
+            if let Some(&(structure, entries)) = left.iter().find(|(_, n)| *n > 0) {
+                return Err(InvariantViolation::NotDrained {
+                    l2: i,
+                    structure,
+                    entries,
+                });
             }
         }
         Ok(())
@@ -146,6 +206,7 @@ mod tests {
     use super::InvariantViolation;
     use crate::policy::PolicyConfig;
     use crate::system::testutil::system;
+    use crate::system::System;
 
     #[test]
     fn violations_are_typed_and_described() {
@@ -158,7 +219,7 @@ mod tests {
         sys.l2s[1].fill(line, L2State::Tagged, InsertPosition::Mru);
         let v = sys.check_invariants().unwrap_err();
         assert!(matches!(v, InvariantViolation::MultipleDirtyOwners { .. }));
-        assert_eq!(v.line(), line.raw());
+        assert_eq!(v.line(), Some(line.raw()));
         assert_eq!(v.holders().len(), 2);
         assert!(v.to_string().contains("dirty owners"));
 
@@ -176,5 +237,39 @@ mod tests {
         // Repair and re-verify.
         sys.l2s[1].set_state(line, L2State::Shared);
         sys.assert_invariants();
+    }
+
+    #[test]
+    fn drain_check_names_the_l2_and_structure() {
+        let mut sys = system(PolicyConfig::baseline());
+        sys.run(300);
+        sys.assert_invariants();
+        let line = LineAddr::new(64);
+        sys.l2s[2]
+            .wbq
+            .push(cmpsim_cache::WbEntry { line, dirty: true });
+        let v = sys.check_invariants().unwrap_err();
+        assert_eq!(
+            v,
+            InvariantViolation::NotDrained {
+                l2: 2,
+                structure: "write-back queue",
+                entries: 1,
+            }
+        );
+        assert_eq!(v.line(), None);
+        assert!(v.holders().is_empty());
+        assert!(v.to_string().contains("L2#2 not drained"));
+        sys.l2s[2].wbq.remove(line);
+        sys.inbound.insert((3, 7), System::INBOUND_FILL);
+        let v = sys.check_invariants().unwrap_err();
+        assert!(matches!(
+            v,
+            InvariantViolation::NotDrained {
+                l2: 3,
+                structure: "inbound transfers",
+                ..
+            }
+        ));
     }
 }

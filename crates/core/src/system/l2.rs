@@ -1,4 +1,7 @@
-//! One L2 cache: sliced tag arrays, MSHRs, write-back queue, snoop port.
+//! One L2 cache: sliced tag arrays, MSHRs, write-back queue, snoop port,
+//! and the fills parked on a full write-back queue.
+
+use std::collections::VecDeque;
 
 use cmpsim_cache::{
     InsertPosition, LineAddr, MshrFile, ReplacementPolicy, SlicedGeometry, TagArray, WayIdx,
@@ -6,6 +9,7 @@ use cmpsim_cache::{
 };
 use cmpsim_coherence::{L2Id, L2State};
 use cmpsim_engine::hash::{FxHashMap, FxHashSet};
+use cmpsim_engine::spans::SpanId;
 use cmpsim_engine::telemetry::{SimEvent, Telemetry};
 use cmpsim_engine::{Cycle, FifoServer, SlotPool};
 use cmpsim_trace::ThreadId;
@@ -19,6 +23,24 @@ pub struct SnarfFlags {
     pub used_locally: bool,
     /// Sourced an intervention to another L2.
     pub used_for_intervention: bool,
+}
+
+/// A demand fill whose data has arrived but which cannot install: it
+/// must evict, the set has no invalid way, and the write-back queue is
+/// full (§2.1: a full queue blocks L2 misses). It waits on its L2 until
+/// a wake source re-dispatches it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ParkedFill {
+    /// The line waiting to install.
+    pub(crate) line: LineAddr,
+    /// Install state granted by the combined response.
+    pub(crate) state: L2State,
+    /// Span id of the wait (a `SpanKind::WbqStall` span).
+    pub(crate) span: SpanId,
+    /// Cycle the fill parked.
+    pub(crate) since: Cycle,
+    /// An `Ev::Fill` re-dispatching this fill is in the event queue.
+    pub(crate) woken: bool,
 }
 
 /// One L2 cache of the CMP (shared by a core pair, four slices).
@@ -48,6 +70,8 @@ pub struct L2Unit {
     pub waiting_threads: Vec<ThreadId>,
     /// Reuse flags for lines snarfed into this cache.
     pub snarfed_lines: FxHashMap<u64, SnarfFlags>,
+    /// Fills blocked on the full write-back queue, oldest first.
+    pub(crate) parked: VecDeque<ParkedFill>,
     telemetry: Telemetry,
 }
 
@@ -81,6 +105,7 @@ impl L2Unit {
             draining: false,
             waiting_threads: Vec::new(),
             snarfed_lines: FxHashMap::default(),
+            parked: VecDeque::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -179,6 +204,11 @@ impl L2Unit {
     pub fn has_invalid_way(&self, line: LineAddr) -> bool {
         let (s, local) = self.slice_and_local(line);
         self.slices[s].invalid_way(local).is_some()
+    }
+
+    /// Position of `line`'s parked fill, if it is parked here.
+    pub(crate) fn parked_index(&self, line: LineAddr) -> Option<usize> {
+        self.parked.iter().position(|p| p.line == line)
     }
 
     /// Snarf victim selection per §3: an invalid way if one exists,

@@ -18,6 +18,11 @@ pub struct L2Stats {
     pub interventions_provided: u64,
     /// Write-backs this L2 absorbed from peers.
     pub snarfs_accepted: u64,
+    /// Demand fills that parked because they had to evict while the
+    /// write-back queue was full (§2.1: a full queue blocks L2 misses).
+    pub fill_wbq_stalls: u64,
+    /// Cycles those fills spent parked, from park to install.
+    pub fill_wbq_stall_cycles: u64,
 }
 
 impl L2Stats {
@@ -256,6 +261,17 @@ impl SystemStats {
     /// Off-chip accesses: fills that left the chip (L3 or memory).
     pub fn off_chip_accesses(&self) -> u64 {
         self.fills_from_l3 + self.fills_from_memory
+    }
+
+    /// Fills that parked on a full write-back queue, over all L2s.
+    pub fn fill_wbq_stalls(&self) -> u64 {
+        self.l2.iter().map(|s| s.fill_wbq_stalls).sum()
+    }
+
+    /// Cycles fills spent parked on a full write-back queue, over all
+    /// L2s.
+    pub fn fill_wbq_stall_cycles(&self) -> u64 {
+        self.l2.iter().map(|s| s.fill_wbq_stall_cycles).sum()
     }
 }
 

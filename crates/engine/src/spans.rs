@@ -43,7 +43,8 @@ use crate::telemetry::FillSource;
 use crate::Cycle;
 
 /// Identifies one traced transaction; the simulator uses the bus
-/// transaction id, which is unique for the life of a run.
+/// transaction id, which is unique for the life of a run
+/// ([`SpanKind::WbqStall`] spans number themselves above 2^63).
 pub type SpanId = u64;
 
 /// What kind of transaction a span covers.
@@ -55,6 +56,11 @@ pub enum SpanKind {
     Upgrade,
     /// A castout (write-back) of a victim line.
     Castout,
+    /// The wait of a demand fill whose data arrived while its L2's
+    /// write-back queue was full and its set had no free way: from
+    /// parking to install. Its own span, so the miss spans keep
+    /// measuring data latency by fill source.
+    WbqStall,
 }
 
 impl SpanKind {
@@ -64,6 +70,7 @@ impl SpanKind {
             SpanKind::Miss => "miss",
             SpanKind::Upgrade => "upgrade",
             SpanKind::Castout => "castout",
+            SpanKind::WbqStall => "wbq_stall",
         }
     }
 }
@@ -99,6 +106,10 @@ pub enum SpanPhase {
     /// Data transfer back to the consumer (ring/link occupancy plus any
     /// wait for the combined response to reach the requester).
     DataReturn,
+    /// A fill waiting to install: it must evict, and the L2's
+    /// write-back queue is full (the phase of a
+    /// [`SpanKind::WbqStall`] span).
+    WbqBlocked,
     /// Implicit tail segment closed by [`SpanTracer::finish`] when the
     /// outcome lands after the last recorded mark (e.g. a transaction
     /// resolved locally without a data phase).
@@ -122,6 +133,7 @@ impl SpanPhase {
             SpanPhase::MemQueue => "mem_queue",
             SpanPhase::MemService => "mem_service",
             SpanPhase::DataReturn => "data_return",
+            SpanPhase::WbqBlocked => "wbq_blocked",
             SpanPhase::Resolve => "resolve",
         }
     }
@@ -137,6 +149,7 @@ impl SpanPhase {
                 | SpanPhase::PeerQueue
                 | SpanPhase::L3Queue
                 | SpanPhase::MemQueue
+                | SpanPhase::WbqBlocked
         )
     }
 }
@@ -756,7 +769,7 @@ mod tests {
             #[test]
             fn telescoping_holds_for_monotone_marks(
                 start in 0u64..1_000,
-                deltas in proptest::collection::vec((0u64..500, 0usize..14), 0..12),
+                deltas in proptest::collection::vec((0u64..500, 0usize..15), 0..12),
             ) {
                 let phases = [
                     SpanPhase::MshrAlloc, SpanPhase::Issue, SpanPhase::RingArb,
@@ -765,7 +778,7 @@ mod tests {
                     SpanPhase::PeerService, SpanPhase::L3Queue,
                     SpanPhase::L3Service, SpanPhase::MemQueue,
                     SpanPhase::MemService, SpanPhase::DataReturn,
-                    SpanPhase::Resolve,
+                    SpanPhase::WbqBlocked, SpanPhase::Resolve,
                 ];
                 let mut rec = SpanRecord::new(1, SpanKind::Miss, 0, 0, start);
                 let mut t = start;

@@ -13,6 +13,13 @@ echo "==> cargo test --workspace -q"
 # coherence properties, grid failure paths, the exp CLI).
 cargo test --workspace -q
 
+echo "==> perfbench --selftest (release-mode correctness + drain check)"
+# The benchmark's three workloads at two seeds through its correctness
+# check: refs and write-back identities, digest stability, and
+# check_invariants() after the drain, which fails on any fill left
+# parked or any MSHR/WBQ/in-flight entry left behind.
+cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- --selftest
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -135,6 +135,7 @@ fn chrome_trace_export_is_well_formed() {
             l.contains("\"name\":\"miss\"")
                 || l.contains("\"name\":\"castout\"")
                 || l.contains("\"name\":\"upgrade\"")
+                || l.contains("\"name\":\"wbq_stall\"")
         })
         .count();
     assert_eq!(enclosing, report.spans.len());

@@ -344,7 +344,6 @@ impl System {
                 found
             };
             let Some(entry) = next else {
-                self.l2s[i].draining = !self.l2s[i].castouts_inflight.is_empty();
                 return;
             };
             // Policy filtering: consulted off the miss path, after the
@@ -399,7 +398,6 @@ impl System {
                 now,
             );
             self.l2s[i].castouts_inflight.insert(entry.line);
-            self.l2s[i].draining = true;
             self.queue
                 .push(now + 1, Ev::BusIssue(TxnState::castout(txn, entry.dirty)));
             // Loop: issue more if the concurrency limit allows.

@@ -64,8 +64,6 @@ pub struct L2Unit {
     /// Castouts currently arbitrating on the bus; they stay in `wbq`
     /// until resolution so they remain snoopable.
     pub castouts_inflight: FxHashSet<LineAddr>,
-    /// Whether a drain event chain is active.
-    pub draining: bool,
     /// Threads parked on MSHR exhaustion.
     pub waiting_threads: Vec<ThreadId>,
     /// Reuse flags for lines snarfed into this cache.
@@ -102,7 +100,6 @@ impl L2Unit {
             array_srv: FifoServer::new(cfg.l2_array_cycles),
             snarf_buffers: SlotPool::new(cfg.snarf_buffers.max(1)),
             castouts_inflight: FxHashSet::default(),
-            draining: false,
             waiting_threads: Vec::new(),
             snarfed_lines: FxHashMap::default(),
             parked: VecDeque::new(),
@@ -265,17 +262,21 @@ impl L2Unit {
         self.slices.iter().map(|s| s.valid_lines()).sum()
     }
 
-    /// All resident lines with global addresses (invariant checking and
-    /// debug dumps; not on any hot path).
-    pub fn resident_lines(&self) -> Vec<LineAddr> {
-        let slice_bits = self.geometry.slices().trailing_zeros();
-        let mut out = Vec::new();
-        for (s, arr) in self.slices.iter().enumerate() {
-            for (local, _) in arr.iter_valid() {
-                out.push(LineAddr::new((local.raw() << slice_bits) | s as u64));
-            }
-        }
-        out
+    /// The sliced geometry (identical for every L2 of a system).
+    pub(crate) fn geometry(&self) -> SlicedGeometry {
+        self.geometry
+    }
+
+    /// The valid ways of one set, as `(slice-local line, state)` in way
+    /// order (the invariant sweep's set walk; not on any hot path).
+    pub(crate) fn set_lines(
+        &self,
+        slice: usize,
+        set: usize,
+    ) -> impl Iterator<Item = (LineAddr, L2State)> + '_ {
+        let assoc = self.geometry.per_slice().assoc() as usize;
+        let arr = &self.slices[slice];
+        (set * assoc..(set + 1) * assoc).filter_map(move |way| arr.line_at(way))
     }
 
     /// Clears snarf bookkeeping for an evicted/invalidated line,

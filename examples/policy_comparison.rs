@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (_, p) in &policies {
             let mut cfg = SystemConfig::scaled(8);
             cfg.max_outstanding = 6;
-            cfg.policy = p.clone();
+            cfg.policy = *p;
             reports.push(run(RunSpec::for_workload(cfg, wl, refs))?);
         }
         let base = &reports[0];

@@ -23,8 +23,10 @@ cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- --
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints tests, examples and benches too, not just the
+# library and binary targets.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet

@@ -104,9 +104,8 @@ impl<P: Copy + Default, A: TagStorage<P>> HistoryTable<P, A> {
     /// Looks up a line, updating recency and hit/miss stats. Returns the
     /// payload when present.
     pub fn lookup(&mut self, line: LineAddr) -> Option<P> {
-        match self.tags.probe(line) {
-            Some((_, p)) => {
-                self.tags.touch(line);
+        match self.tags.touch(line) {
+            Some(p) => {
                 self.stats.hits += 1;
                 Some(p)
             }

@@ -166,8 +166,9 @@ pub trait TagStorage<S>: std::fmt::Debug + Clone + Sized {
     /// Looks up a line without updating recency.
     fn probe(&self, line: LineAddr) -> Option<(WayIdx, S)>;
 
-    /// Marks a line as just-used (hit path). Returns `false` if absent.
-    fn touch(&mut self, line: LineAddr) -> bool;
+    /// Marks a line as just-used (hit path) and returns its state;
+    /// `None` when absent.
+    fn touch(&mut self, line: LineAddr) -> Option<S>;
 
     /// Rewrites a resident line's state in place (no recency update).
     /// Returns `false` when the line is absent.

@@ -341,14 +341,14 @@ impl<S: PackedState> PackedTagArray<S> {
         self.update_state(line, |s| *s = state)
     }
 
-    /// Marks a line as just-used (hit path). Returns `false` if absent.
+    /// Marks a line as just-used (hit path) and returns its state, so a
+    /// caller that needs both probes the set once. Returns `None` (and
+    /// touches nothing) when the line is absent.
     #[inline]
-    pub fn touch(&mut self, line: LineAddr) -> bool {
-        let Some((way, _)) = self.probe(line) else {
-            return false;
-        };
+    pub fn touch(&mut self, line: LineAddr) -> Option<S> {
+        let (way, state) = self.probe(line)?;
         self.promote(line, way);
-        true
+        Some(state)
     }
 
     fn promote(&mut self, line: LineAddr, way: WayIdx) {
@@ -613,7 +613,7 @@ impl<S: PackedState + std::fmt::Debug> TagStorage<S> for PackedTagArray<S> {
         PackedTagArray::probe(self, line)
     }
 
-    fn touch(&mut self, line: LineAddr) -> bool {
+    fn touch(&mut self, line: LineAddr) -> Option<S> {
         PackedTagArray::touch(self, line)
     }
 

@@ -1,7 +1,5 @@
 //! The bounded per-cache write-back (castout) queue.
 
-use std::collections::VecDeque;
-
 use crate::LineAddr;
 
 /// One pending write-back.
@@ -22,6 +20,18 @@ pub struct WbEntry {
 /// queue is snoopable: a request for a line sitting here is serviced from
 /// the queue (the line is still logically owned by this cache).
 ///
+/// The queue also tracks which castouts are on the bus. A line can sit
+/// in the queue twice (an entry on the bus cannot be recovered, so a
+/// re-miss may re-install and re-evict the line), and the on-bus state
+/// is a property of the line, kept as a mark on its oldest entry:
+///
+/// * a line is [on the bus](Self::on_bus) iff its oldest entry is marked;
+/// * [`next_to_issue`](Self::next_to_issue) skips every entry whose line
+///   is on the bus;
+/// * [`in_flight`](Self::in_flight) counts the marked entries;
+/// * [`remove`](Self::remove) always takes a line's oldest entry, so the
+///   next entry of that line becomes the oldest, unmarked.
+///
 /// # Example
 ///
 /// ```
@@ -34,11 +44,24 @@ pub struct WbEntry {
 #[derive(Debug, Clone)]
 pub struct WriteBackQueue {
     capacity: usize,
-    entries: VecDeque<WbEntry>,
+    /// One word per queued entry, oldest first: the raw line address
+    /// with the [`DIRTY`] and [`ON_BUS`] flags in the top bits (line
+    /// addresses are far narrower). The snoop and drain scans read only
+    /// this dense array.
+    slots: Vec<u64>,
+    /// Number of marked (on-bus) entries.
+    in_flight: usize,
     high_water: usize,
     full_rejections: u64,
     pushed: u64,
 }
+
+/// Slot flag: a dirty castout.
+const DIRTY: u64 = 1 << 62;
+/// Slot flag: the entry's castout transaction is on the bus.
+const ON_BUS: u64 = 1 << 63;
+/// The line-address bits of a slot.
+const LINE: u64 = DIRTY - 1;
 
 impl WriteBackQueue {
     /// Creates a queue with the given capacity.
@@ -50,74 +73,167 @@ impl WriteBackQueue {
         assert!(capacity > 0, "write-back queue needs capacity > 0");
         WriteBackQueue {
             capacity,
-            entries: VecDeque::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            in_flight: 0,
             high_water: 0,
             full_rejections: 0,
             pushed: 0,
         }
     }
 
-    /// Enqueues a write-back. Returns `false` (recording a rejection)
-    /// when the queue is full — the cache must block the triggering miss.
+    #[inline]
+    fn entry(&self, k: usize) -> WbEntry {
+        WbEntry {
+            line: LineAddr::new(self.slots[k] & LINE),
+            dirty: self.slots[k] & DIRTY != 0,
+        }
+    }
+
+    /// Removes entry `k` (entries behind it move up one place).
+    #[inline]
+    fn take(&mut self, k: usize) -> WbEntry {
+        let e = self.entry(k);
+        self.in_flight -= usize::from(self.slots[k] & ON_BUS != 0);
+        self.slots.remove(k);
+        e
+    }
+
+    /// Enqueues a write-back (not on the bus). Returns `false` (recording
+    /// a rejection) when the queue is full — the cache must block the
+    /// triggering miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line address reaches bit 62, where the entry flags
+    /// live (tag arrays already reject such addresses).
     pub fn push(&mut self, e: WbEntry) -> bool {
-        if self.entries.len() >= self.capacity {
+        if self.slots.len() >= self.capacity {
             self.full_rejections += 1;
             return false;
         }
-        self.entries.push_back(e);
+        assert_eq!(
+            e.line.raw() & !LINE,
+            0,
+            "line {} overlaps the write-back queue's flag bits",
+            e.line
+        );
+        self.slots
+            .push(e.line.raw() | if e.dirty { DIRTY } else { 0 });
         self.pushed += 1;
-        self.high_water = self.high_water.max(self.entries.len());
+        self.high_water = self.high_water.max(self.slots.len());
         true
     }
 
     /// Dequeues the oldest write-back.
     pub fn pop(&mut self) -> Option<WbEntry> {
-        self.entries.pop_front()
+        (!self.slots.is_empty()).then(|| self.take(0))
     }
 
     /// Peeks at the oldest write-back without removing it.
-    pub fn front(&self) -> Option<&WbEntry> {
-        self.entries.front()
+    pub fn front(&self) -> Option<WbEntry> {
+        self.nth(0)
+    }
+
+    #[inline]
+    fn oldest(&self, line: LineAddr) -> Option<usize> {
+        self.slots.iter().position(|&s| s & LINE == line.raw())
     }
 
     /// Snoop: is `line` sitting in the queue?
     #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|e| e.line == line)
+        self.oldest(line).is_some()
     }
 
-    /// Snoop: the queued entry for `line`, if any.
+    /// Snoop: the oldest queued entry for `line`, if any.
     #[inline]
-    pub fn get(&self, line: LineAddr) -> Option<&WbEntry> {
-        self.entries.iter().find(|e| e.line == line)
+    pub fn get(&self, line: LineAddr) -> Option<WbEntry> {
+        self.oldest(line).map(|k| self.entry(k))
     }
 
     /// The `k`-th oldest entry (0 = front), if any.
-    pub fn nth(&self, k: usize) -> Option<&WbEntry> {
-        self.entries.get(k)
+    pub fn nth(&self, k: usize) -> Option<WbEntry> {
+        (k < self.slots.len()).then(|| self.entry(k))
     }
 
-    /// Removes a specific line (e.g. squashed by a snoop response),
-    /// returning its entry.
+    /// Removes the oldest entry for `line` (issued, squashed by a snoop
+    /// response, claimed, recovered or aborted), returning it. If that
+    /// entry was on the bus, the line no longer is.
     #[inline]
     pub fn remove(&mut self, line: LineAddr) -> Option<WbEntry> {
-        let idx = self.entries.iter().position(|e| e.line == line)?;
-        self.entries.remove(idx)
+        let k = self.oldest(line)?;
+        Some(self.take(k))
+    }
+
+    /// Recovery: removes and returns `line`'s oldest entry unless that
+    /// entry is on the bus (a castout on the bus cannot be pulled back).
+    #[inline]
+    pub fn recover(&mut self, line: LineAddr) -> Option<WbEntry> {
+        let k = self.oldest(line)?;
+        (self.slots[k] & ON_BUS == 0).then(|| self.take(k))
+    }
+
+    /// `true` when `line`'s castout is on the bus (its oldest entry is
+    /// marked). `false` when the line is not queued.
+    #[inline]
+    pub fn on_bus(&self, line: LineAddr) -> bool {
+        self.oldest(line)
+            .is_some_and(|k| self.slots[k] & ON_BUS != 0)
+    }
+
+    /// The oldest entry whose line is not on the bus: the next castout
+    /// to issue. It is always its line's oldest entry.
+    #[inline]
+    pub fn next_to_issue(&self) -> Option<WbEntry> {
+        // An unmarked entry's line is on the bus iff a marked entry (its
+        // line's oldest) carries the same line.
+        let marked = |line: u64| {
+            self.slots
+                .iter()
+                .any(|&s| s & ON_BUS != 0 && s & LINE == line)
+        };
+        self.slots
+            .iter()
+            .position(|&s| s & ON_BUS == 0 && (self.in_flight == 0 || !marked(s & LINE)))
+            .map(|k| self.entry(k))
+    }
+
+    /// Marks `line`'s oldest entry as on the bus. Returns `false` when the
+    /// line is not queued.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the line is already on the bus.
+    #[inline]
+    pub fn mark_on_bus(&mut self, line: LineAddr) -> bool {
+        let Some(k) = self.oldest(line) else {
+            return false;
+        };
+        debug_assert!(self.slots[k] & ON_BUS == 0, "{line} is already on the bus");
+        self.slots[k] |= ON_BUS;
+        self.in_flight += 1;
+        true
+    }
+
+    /// Number of castouts on the bus (marked entries).
+    #[inline]
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
     }
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// `true` when at capacity (misses must block).
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.slots.len() >= self.capacity
     }
 
     /// Capacity.
@@ -200,7 +316,58 @@ mod tests {
         assert_eq!(q.high_water(), 5);
         assert_eq!(q.pushed(), 5);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.front(), Some(&e(2, false)));
+        assert_eq!(q.front(), Some(e(2, false)));
+    }
+
+    #[test]
+    fn duplicate_line_marks_only_its_oldest_entry() {
+        let mut q = WriteBackQueue::new(4);
+        q.push(e(1, true));
+        q.push(e(2, false));
+        assert_eq!(q.next_to_issue(), Some(e(1, true)));
+        assert!(q.mark_on_bus(LineAddr::new(1)));
+        assert!(q.on_bus(LineAddr::new(1)));
+        // Line 1 re-evicted while its first castout is on the bus.
+        q.push(e(1, false));
+        assert!(q.on_bus(LineAddr::new(1)), "the oldest entry decides");
+        assert_eq!(q.in_flight(), 1);
+        // The drain skips both entries of line 1.
+        assert_eq!(q.next_to_issue(), Some(e(2, false)));
+        assert!(q.mark_on_bus(LineAddr::new(2)));
+        assert_eq!(q.in_flight(), 2);
+        assert_eq!(q.next_to_issue(), None, "newer line-1 entry must wait");
+        // Resolution retires the oldest (marked) entry of line 1; the
+        // newer one is now the oldest, unmarked and drainable.
+        assert_eq!(q.remove(LineAddr::new(1)), Some(e(1, true)));
+        assert!(!q.on_bus(LineAddr::new(1)));
+        assert_eq!(q.in_flight(), 1);
+        assert_eq!(q.next_to_issue(), Some(e(1, false)));
+        // Removing an unmarked entry leaves the count alone; removing a
+        // marked one (a claim) takes the line off the bus.
+        assert_eq!(q.remove(LineAddr::new(1)), Some(e(1, false)));
+        assert_eq!(q.in_flight(), 1);
+        assert_eq!(q.pop(), Some(e(2, false)));
+        assert_eq!(q.in_flight(), 0);
+        assert!(!q.mark_on_bus(LineAddr::new(2)), "not queued");
+    }
+
+    #[test]
+    fn recovery_skips_a_line_on_the_bus() {
+        let mut q = WriteBackQueue::new(4);
+        q.push(e(1, true));
+        q.push(e(2, false));
+        q.mark_on_bus(LineAddr::new(1));
+        assert_eq!(q.recover(LineAddr::new(1)), None);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.recover(LineAddr::new(2)), Some(e(2, false)));
+        assert_eq!(q.recover(LineAddr::new(3)), None);
+        assert_eq!(q.in_flight(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "flag bits")]
+    fn line_reaching_the_flag_bits_panics() {
+        let _ = WriteBackQueue::new(2).push(e(1 << 62, false));
     }
 
     #[test]

@@ -27,7 +27,13 @@ fn mirror_run(policy: ReplacementPolicy, geom: CacheGeometry, line_space: u64, s
                 assert_eq!(p.probe(line), g.probe(line), "probe @ {step}");
             }
             1 => {
-                assert_eq!(p.touch(line), g.touch(line), "touch @ {step}");
+                // `touch` hands back the touched line's state: both
+                // backends must agree on it, and it must be what a probe
+                // just before the touch saw.
+                let probed = g.probe(line).map(|(_, st)| st);
+                let touched = p.touch(line);
+                assert_eq!(touched, g.touch(line), "touch state @ {step}");
+                assert_eq!(touched, probed, "touch vs probe @ {step}");
             }
             2 => {
                 let st = (step & 0xFF) as u8;

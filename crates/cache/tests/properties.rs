@@ -72,22 +72,25 @@ proptest! {
         prop_assert_eq!(h.stats().hits + h.stats().misses, lookups);
     }
 
-    /// MSHR file: waiters are returned exactly once, in order, and
-    /// occupancy never exceeds capacity.
+    /// MSHR file: waiters are returned exactly once, in order,
+    /// occupancy never exceeds capacity, and each register keeps its
+    /// primary miss's issue time.
     #[test]
     fn mshr_waiters_conserved(ops in proptest::collection::vec((0u64..16, 0u32..8), 1..200)) {
         let mut m: MshrFile<(u64, u32)> = MshrFile::new(4);
-        let mut outstanding: Vec<u64> = Vec::new();
+        // (line, primary issue step), oldest first.
+        let mut outstanding: Vec<(u64, u64)> = Vec::new();
         let mut issued = 0usize;
         let mut returned = 0usize;
-        for &(l, w) in &ops {
+        for (step, &(l, w)) in ops.iter().enumerate() {
             let la = LineAddr::new(l);
-            match m.allocate(la, (l, w)) {
-                Ok(true) => { outstanding.push(l); issued += 1; }
+            match m.allocate(la, (l, w), step as u64) {
+                Ok(true) => { outstanding.push((l, step as u64)); issued += 1; }
                 Ok(false) => { issued += 1; }
                 Err(_) => {
                     // Full: complete the oldest to make room.
-                    let done = outstanding.remove(0);
+                    let (done, t0) = outstanding.remove(0);
+                    prop_assert_eq!(m.issued_at(LineAddr::new(done)), Some(t0));
                     let ws = m.complete(LineAddr::new(done)).unwrap();
                     for (wl, _) in &ws { prop_assert_eq!(*wl, done); }
                     returned += ws.len();
@@ -95,9 +98,12 @@ proptest! {
             }
             prop_assert!(m.len() <= m.capacity());
         }
-        for l in outstanding {
-            returned += m.complete(LineAddr::new(l)).unwrap().len();
+        for (l, t0) in outstanding {
+            let mut ws = Vec::new();
+            prop_assert_eq!(m.complete_into(LineAddr::new(l), &mut ws), Some(t0));
+            returned += ws.len();
         }
+        prop_assert!(m.is_empty());
         prop_assert_eq!(issued, returned);
     }
 
@@ -120,5 +126,74 @@ proptest! {
             prop_assert_eq!(e.line.raw(), model.remove(0));
         }
         prop_assert!(model.is_empty());
+    }
+
+    /// The write-back queue's on-bus marks against the line-level set
+    /// they replaced: a FIFO of entries plus a set of lines on the bus,
+    /// where the drain issues the first entry whose line is not in the
+    /// set, and claim, recovery and resolution remove a line's oldest
+    /// entry. Few distinct lines, so duplicates are common.
+    #[test]
+    fn wb_queue_marks_match_line_set_model(
+        ops in proptest::collection::vec((0u8..5, 0u64..6), 1..300),
+    ) {
+        let mut q = WriteBackQueue::new(8);
+        let mut fifo: Vec<u64> = Vec::new();
+        let mut on_bus: HashSet<u64> = HashSet::new();
+        let remove_oldest = |fifo: &mut Vec<u64>, l: u64| {
+            fifo.iter().position(|&x| x == l).map(|k| fifo.remove(k))
+        };
+        for &(op, l) in &ops {
+            let la = LineAddr::new(l);
+            match op {
+                // Eviction into the queue.
+                0 => {
+                    let ok = fifo.len() < 8;
+                    if ok {
+                        fifo.push(l);
+                    }
+                    prop_assert_eq!(q.push(WbEntry { line: la, dirty: false }), ok);
+                }
+                // Drain: issue the next castout.
+                1 => {
+                    let next = fifo.iter().copied().find(|x| !on_bus.contains(x));
+                    prop_assert_eq!(q.next_to_issue().map(|e| e.line.raw()), next);
+                    if let Some(x) = next {
+                        on_bus.insert(x);
+                        prop_assert!(q.mark_on_bus(LineAddr::new(x)));
+                    }
+                }
+                // A bus event for `l` fires: it resolves only if the line
+                // is still on the bus, else it is stale and moves on.
+                2 => {
+                    let live = on_bus.contains(&l) && fifo.contains(&l);
+                    prop_assert_eq!(q.on_bus(la), live);
+                    if live {
+                        remove_oldest(&mut fifo, l);
+                        on_bus.remove(&l);
+                        prop_assert!(q.remove(la).is_some());
+                    }
+                }
+                // A peer's RFO claims the entry.
+                3 => {
+                    let claimed = remove_oldest(&mut fifo, l).is_some();
+                    if claimed {
+                        on_bus.remove(&l);
+                    }
+                    prop_assert_eq!(q.remove(la).is_some(), claimed);
+                }
+                // The frontend recovers the line.
+                _ => {
+                    let ok = !on_bus.contains(&l) && remove_oldest(&mut fifo, l).is_some();
+                    prop_assert_eq!(q.recover(la).is_some(), ok);
+                }
+            }
+            prop_assert_eq!(q.in_flight(), on_bus.len());
+            let queued: Vec<u64> = (0..q.len()).map(|k| q.nth(k).unwrap().line.raw()).collect();
+            prop_assert_eq!(&queued, &fifo);
+            for x in 0..6 {
+                prop_assert_eq!(q.on_bus(LineAddr::new(x)), on_bus.contains(&x));
+            }
+        }
     }
 }

@@ -85,7 +85,9 @@ pub struct CastoutCtx {
     /// uses the switch).
     pub engaged: bool,
     /// Whether the L3 (shared or this L2's private slice) already holds
-    /// the line.
+    /// the line: the oracle behind the WBHT's correctness statistic.
+    /// Only peeked when `engaged` (a disengaged verdict never reads it);
+    /// `false` otherwise.
     pub in_l3: bool,
 }
 

@@ -275,18 +275,18 @@ impl System {
             // pending verdict: memory escalation is a mispredict, charged
             // the measured fill latency; an L3/peer fill proves the
             // dropped write-back redundant.
-            let latency = self
-                .miss_issue
-                .get(&(txn.src.index() as u8, line.raw()))
-                .map_or(0, |&t0| t_fill.saturating_sub(t0));
+            let latency = self.l2s[txn.src.index()]
+                .mshrs
+                .issued_at(line)
+                .map_or(0, |t0| t_fill.saturating_sub(t0));
             a.resolve_abort(line.raw(), matches!(source, DataSource::Memory), latency);
         }
         if self.telemetry.is_enabled() {
             let l2 = txn.src.index() as u32;
-            let latency = self
-                .miss_issue
-                .get(&(txn.src.index() as u8, line.raw()))
-                .map_or(0, |&t0| t_fill.saturating_sub(t0));
+            let latency = self.l2s[l2 as usize]
+                .mshrs
+                .issued_at(line)
+                .map_or(0, |t0| t_fill.saturating_sub(t0));
             self.telemetry.emit(t_fill, || SimEvent::L2Fill {
                 l2,
                 line: line.raw(),

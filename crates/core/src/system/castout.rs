@@ -23,11 +23,10 @@ impl System {
         let i = txn.src.index();
         let line = txn.line;
         let sid = txn.span_id();
-        // The entry may have been claimed (RFO) or recovered since the
-        // drain picked it.
-        if !self.l2s[i].castouts_inflight.contains(&line) || !self.l2s[i].wbq.contains(line) {
+        // The entry may have been claimed (RFO) since the drain picked
+        // it, taking the line off the bus.
+        if !self.l2s[i].wbq.on_bus(line) {
             self.spans.finish(sid, SpanOutcome::ResolvedLocal, now);
-            self.l2s[i].castouts_inflight.remove(&line);
             self.queue.push(now, Ev::WbDrain(txn.src));
             return;
         }
@@ -208,9 +207,9 @@ impl System {
             }
         }
 
-        // Resolution: retire the entry and continue draining.
+        // Resolution: retire the entry (the line's oldest, the one on
+        // the bus) and continue draining.
         self.l2s[i].wbq.remove(line);
-        self.l2s[i].castouts_inflight.remove(&line);
         self.queue.push(t_seen + 1, Ev::WbDrain(txn.src));
         self.wake_parked_fills(i, now);
     }
@@ -316,7 +315,6 @@ impl System {
             other => unreachable!("private L3 castout response {other:?}"),
         }
         self.l2s[i].wbq.remove(line);
-        self.l2s[i].castouts_inflight.remove(&line);
         self.queue.push(arrive + 1, Ev::WbDrain(txn.src));
         self.wake_parked_fills(i, now);
     }
@@ -324,36 +322,23 @@ impl System {
     pub(super) fn handle_wb_drain(&mut self, now: Cycle, l2id: L2Id) {
         let i = l2id.index();
         loop {
-            if self.l2s[i].castouts_inflight.len() >= self.cfg.castout_inflight_max {
+            if self.l2s[i].wbq.in_flight() >= self.cfg.castout_inflight_max {
                 return;
             }
-            // Oldest entry not already on the bus.
-            let next = {
-                let inflight = &self.l2s[i].castouts_inflight;
-                let mut found = None;
-                for k in 0.. {
-                    // Scan queue order via front-relative probing.
-                    let Some(e) = self.l2s[i].wbq.nth(k) else {
-                        break;
-                    };
-                    if !inflight.contains(&e.line) {
-                        found = Some(*e);
-                        break;
-                    }
-                }
-                found
-            };
-            let Some(entry) = next else {
+            // Oldest entry whose line is not already on the bus.
+            let Some(entry) = self.l2s[i].wbq.next_to_issue() else {
                 return;
             };
             // Policy filtering: consulted off the miss path, after the
             // victim entered the queue (§2).
             if !entry.dirty && self.policy.caps().filters_clean_castouts {
                 let engaged = self.policy.castout_gate_engaged(now);
-                let in_l3 = match self.cfg.l3_organization {
-                    L3Organization::SharedVictim => self.l3.peek(entry.line),
-                    L3Organization::PrivatePerL2 => self.private_l3s[i].peek(entry.line),
-                };
+                // The oracle peek feeds only engaged WBHT verdicts.
+                let in_l3 = engaged
+                    && match self.cfg.l3_organization {
+                        L3Organization::SharedVictim => self.l3.peek(entry.line),
+                        L3Organization::PrivatePerL2 => self.private_l3s[i].peek(entry.line),
+                    };
                 let ctx = CastoutCtx {
                     now,
                     l2: i,
@@ -397,7 +382,7 @@ impl System {
                 entry.line.raw(),
                 now,
             );
-            self.l2s[i].castouts_inflight.insert(entry.line);
+            self.l2s[i].wbq.mark_on_bus(entry.line);
             self.queue
                 .push(now + 1, Ev::BusIssue(TxnState::castout(txn, entry.dirty)));
             // Loop: issue more if the concurrency limit allows.
@@ -413,7 +398,7 @@ impl System {
             dirty: vst.is_dirty(),
         });
         debug_assert!(pushed, "wbq overflow despite fill gating");
-        if self.l2s[i].castouts_inflight.len() < self.cfg.castout_inflight_max {
+        if self.l2s[i].wbq.in_flight() < self.cfg.castout_inflight_max {
             self.queue.push(
                 now.max(self.queue.now()) + 1,
                 Ev::WbDrain(L2Id::new(i as u8)),
@@ -424,11 +409,122 @@ impl System {
 
 #[cfg(test)]
 mod tests {
-    use cmpsim_cache::LineAddr;
-    use cmpsim_coherence::L2Id;
+    use cmpsim_cache::{LineAddr, WbEntry};
+    use cmpsim_coherence::{BusTxn, L2Id, TxnKind, TxnState};
+    use cmpsim_engine::Cycle;
 
+    use crate::config::{L3Organization, SystemConfig};
     use crate::policy::{PolicyConfig, UpdateScope, WbhtConfig};
-    use crate::system::testutil::system;
+    use crate::system::system::Ev;
+    use crate::system::testutil::{system, tiny_workload};
+    use crate::system::System;
+
+    /// Cycle the L3 data-in slots are jammed from (far past the test's
+    /// early castouts) and a cycle safely after the jam has cleared.
+    const JAM: Cycle = 10_000;
+    const LATE: Cycle = 20_000;
+
+    /// Pops events up to and including the next bus transaction.
+    fn next_bus_issue(sys: &mut System) -> (Cycle, TxnState) {
+        while let Some((t, ev)) = sys.queue.pop() {
+            match ev {
+                Ev::BusIssue(state) => return (t, state),
+                other => sys.dispatch(t, other),
+            }
+        }
+        panic!("no bus transaction queued");
+    }
+
+    /// Queues a castout of `line` in L2#0 and drains it onto the bus,
+    /// returning its first bus transaction.
+    fn drain_castout(sys: &mut System, line: LineAddr, dirty: bool) -> (Cycle, TxnState) {
+        assert!(sys.l2s[0].wbq.push(WbEntry { line, dirty }));
+        sys.handle_wb_drain(sys.queue.now(), L2Id::new(0));
+        assert!(sys.l2s[0].wbq.on_bus(line));
+        next_bus_issue(sys)
+    }
+
+    /// L2#1's demand read of `line` on the bus (its fill stays queued).
+    fn demand_read(sys: &mut System, line: LineAddr) {
+        let txn = BusTxn::new(sys.txn_seq.bump(), TxnKind::ReadShared, line, L2Id::new(1));
+        sys.handle_bus_issue(sys.queue.now(), TxnState::miss(txn));
+    }
+
+    /// Holds every data-in slot of the L3 slice L2#0 casts `line` out to
+    /// from [`JAM`] on, so a castout snooped before then is retried.
+    fn jam_l3(sys: &mut System, line: LineAddr) {
+        for k in 1..=64u64 {
+            let filler = LineAddr::new(line.raw() + (k << 20));
+            sys.l3_for(0).accept_castout_timed(JAM, filler, false);
+        }
+    }
+
+    /// The Table 2 reuse accounting (`wb_lines`) through one line's
+    /// castout generations, on the shared and the private-L3 bus.
+    #[test]
+    fn wb_lines_track_each_write_back_generation() {
+        for org in [L3Organization::SharedVictim, L3Organization::PrivatePerL2] {
+            let mut cfg = SystemConfig::scaled(16);
+            cfg.l3_organization = org;
+            let mut sys = System::new(cfg, tiny_workload()).unwrap();
+            let [a, b, c] = [0x40, 0x41, 0x42].map(LineAddr::new);
+            let pending = |sys: &System, line: LineAddr| sys.wb_lines.get(&line.raw()).copied();
+
+            // `a`: the first attempt is retried, and records the line as
+            // pending, not accepted.
+            jam_l3(&mut sys, a);
+            let (t, first) = drain_castout(&mut sys, a, false);
+            sys.handle_bus_issue(t, first);
+            assert_eq!(pending(&sys, a), Some(false), "{org:?}");
+            assert_eq!(sys.stats.wb_reuse.total, 1);
+            assert_eq!(sys.stats.wb.retried_attempts, 0);
+            // A demand read while the retry waits counts the reuse and
+            // clears the entry.
+            demand_read(&mut sys, a);
+            assert_eq!(pending(&sys, a), None, "{org:?}");
+            assert_eq!(sys.stats.wb_reuse.reused_total, 1);
+            assert_eq!(sys.stats.wb_reuse.reused_accepted, 0);
+            // The retry, once the jam clears, is accepted but does not
+            // record the line again.
+            let (_, retry) = next_bus_issue(&mut sys);
+            assert_eq!(retry.attempt, 1);
+            sys.handle_bus_issue(LATE, retry);
+            assert_eq!(pending(&sys, a), None, "{org:?}");
+            assert_eq!(sys.stats.wb.retried_attempts, 1);
+            assert_eq!(sys.stats.wb_reuse.total, 1);
+            assert_eq!(sys.stats.wb_reuse.accepted, 1);
+            assert!(!sys.l2s[0].wbq.contains(a));
+
+            // `b`: an L3 accept marks it accepted; the next write-back
+            // generation (re-installed, evicted again) resets the mark.
+            // The L3 now holds the clean line, so that castout is
+            // squashed and stays unaccepted.
+            let (t, first) = drain_castout(&mut sys, b, false);
+            sys.handle_bus_issue(t, first);
+            assert_eq!(pending(&sys, b), Some(true), "{org:?}");
+            let (t, first) = drain_castout(&mut sys, b, false);
+            sys.handle_bus_issue(t, first);
+            assert_eq!(pending(&sys, b), Some(false), "{org:?}");
+            assert_eq!(sys.stats.wb.clean_squashed_l3, 1);
+            demand_read(&mut sys, b);
+            assert_eq!(pending(&sys, b), None, "{org:?}");
+            assert_eq!(sys.stats.wb_reuse.reused_total, 2);
+            assert_eq!(sys.stats.wb_reuse.reused_accepted, 0);
+
+            // `c`: the re-read of an accepted write-back counts as reuse
+            // of an accepted one too.
+            let (t, first) = drain_castout(&mut sys, c, true);
+            sys.handle_bus_issue(t, first);
+            assert_eq!(pending(&sys, c), Some(true), "{org:?}");
+            demand_read(&mut sys, c);
+            assert_eq!(pending(&sys, c), None, "{org:?}");
+            assert_eq!(sys.stats.wb_reuse.reused_total, 3);
+            assert_eq!(sys.stats.wb_reuse.reused_accepted, 1);
+            assert!(sys.wb_lines.is_empty());
+            assert_eq!(sys.stats.wb_reuse.total, 4);
+            assert_eq!(sys.stats.wb_reuse.accepted, 3);
+        }
+    }
 
     #[test]
     fn global_scope_notes_redundant_in_every_table() {

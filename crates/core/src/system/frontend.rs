@@ -78,11 +78,12 @@ impl System {
 
         // Write-back queue recovery: the line was evicted recently and is
         // still waiting in our own castout queue — pull it back.
-        if resident.is_none()
-            && !self.l2s[i].castouts_inflight.contains(&line)
-            && self.l2s[i].wbq.contains(line)
-        {
-            let e = self.l2s[i].wbq.remove(line).expect("entry just seen");
+        let recovered = if resident.is_none() {
+            self.l2s[i].wbq.recover(line)
+        } else {
+            None
+        };
+        if let Some(e) = recovered {
             // While parked in the queue the entry may have served
             // interventions (the queue is snoopable), so peers can hold
             // Shared copies now: a recovered dirty line is then the
@@ -211,7 +212,7 @@ impl System {
         let ti = t.index();
         let i = l2id.index();
         let t_now = self.threads[ti].next_time;
-        match self.l2s[i].mshrs.allocate(line, t) {
+        match self.l2s[i].mshrs.allocate(line, t, t_now) {
             Err(_) => {
                 self.threads[ti].pending = Some(rec);
                 self.threads[ti].park = Park::MshrFull;
@@ -224,7 +225,6 @@ impl System {
                     let txn = BusTxn::new(self.txn_seq.bump(), kind, line, l2id);
                     self.spans
                         .start(txn.span_id(), txn.span_kind(), i as u32, line.raw(), t_now);
-                    self.miss_issue.insert((i as u8, line.raw()), t_now);
                     self.queue.push(
                         (t_now + self.cfg.miss_detect_cycles).max(self.queue.now()),
                         Ev::BusIssue(TxnState::miss(txn)),

@@ -106,9 +106,10 @@ impl System {
     /// Verifies protocol invariants across all caches: at most one dirty
     /// owner per line, `E`/`M` exclusivity, at most one `SL` holder.
     /// When the event queue is empty (a run has drained) it also
-    /// requires every L2 to be idle: no parked fills, empty MSHRs and
-    /// write-back queue, no castouts in flight, and no inbound transfers
-    /// or miss issue times left for it.
+    /// requires every L2 to be idle: no parked fills, no MSHRs (and so
+    /// no miss issue times), no castouts in flight (marked write-back
+    /// queue entries), an empty write-back queue, and no inbound
+    /// transfers left for it.
     ///
     /// Returns the first violation found, with the offending line and
     /// its holders (or the undrained L2 and structure), or `Ok(())` when
@@ -173,16 +174,15 @@ impl System {
             let keyed = |k: &(u8, u64)| usize::from(k.0) == i;
             let left = [
                 ("parked fills", l2.parked.len()),
-                ("MSHRs", l2.mshrs.len()),
+                // Each register holds its primary miss's issue time.
+                ("MSHRs and miss issue times", l2.mshrs.len()),
+                // Marked (on-bus) entries before the whole queue: the
+                // more specific leak is named first.
+                ("castouts in flight", l2.wbq.in_flight()),
                 ("write-back queue", l2.wbq.len()),
-                ("castouts in flight", l2.castouts_inflight.len()),
                 (
                     "inbound transfers",
                     self.inbound.keys().filter(|k| keyed(k)).count(),
-                ),
-                (
-                    "miss issue times",
-                    self.miss_issue.keys().filter(|k| keyed(k)).count(),
                 ),
             ];
             if let Some(&(structure, entries)) = left.iter().find(|(_, n)| *n > 0) {
@@ -287,22 +287,32 @@ mod tests {
         sys.run(300);
         sys.assert_invariants();
         let line = LineAddr::new(64);
-        sys.l2s[2]
-            .wbq
-            .push(cmpsim_cache::WbEntry { line, dirty: true });
+        let drained = |sys: &System, l2, structure, entries| {
+            assert_eq!(
+                sys.check_invariants(),
+                Err(InvariantViolation::NotDrained {
+                    l2,
+                    structure,
+                    entries,
+                })
+            );
+        };
+        // A queued castout, then the same castout marked on the bus.
+        let wb = cmpsim_cache::WbEntry { line, dirty: true };
+        sys.l2s[2].wbq.push(wb);
+        drained(&sys, 2, "write-back queue", 1);
+        sys.l2s[2].wbq.mark_on_bus(line);
+        drained(&sys, 2, "castouts in flight", 1);
         let v = sys.check_invariants().unwrap_err();
-        assert_eq!(
-            v,
-            InvariantViolation::NotDrained {
-                l2: 2,
-                structure: "write-back queue",
-                entries: 1,
-            }
-        );
         assert_eq!(v.line(), None);
         assert!(v.holders().is_empty());
         assert!(v.to_string().contains("L2#2 not drained"));
         sys.l2s[2].wbq.remove(line);
+        // A miss left in an MSHR, with the issue time it holds.
+        let t = cmpsim_trace::ThreadId::new(0);
+        assert_eq!(sys.l2s[1].mshrs.allocate(line, t, 7), Ok(true));
+        drained(&sys, 1, "MSHRs and miss issue times", 1);
+        sys.l2s[1].mshrs.complete(line);
         sys.inbound.insert((3, 7), System::INBOUND_FILL);
         let v = sys.check_invariants().unwrap_err();
         assert!(matches!(

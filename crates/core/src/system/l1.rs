@@ -37,7 +37,7 @@ impl L1Cache {
 
     /// Load lookup; returns `true` on hit (and refreshes recency).
     pub fn load(&mut self, line: LineAddr) -> bool {
-        if self.tags.touch(line) {
+        if self.tags.touch(line).is_some() {
             self.hits += 1;
             true
         } else {

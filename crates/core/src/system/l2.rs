@@ -8,7 +8,7 @@ use cmpsim_cache::{
     WriteBackQueue,
 };
 use cmpsim_coherence::{L2Id, L2State};
-use cmpsim_engine::hash::{FxHashMap, FxHashSet};
+use cmpsim_engine::hash::FxHashMap;
 use cmpsim_engine::spans::SpanId;
 use cmpsim_engine::telemetry::{SimEvent, Telemetry};
 use cmpsim_engine::{Cycle, FifoServer, SlotPool};
@@ -52,7 +52,9 @@ pub struct L2Unit {
     slices: Vec<TagArray<L2State>>,
     /// Miss-status registers (waiters are thread ids).
     pub mshrs: MshrFile<ThreadId>,
-    /// The bounded castout queue.
+    /// The bounded castout queue. Its entries also carry the on-bus
+    /// mark: a castout arbitrating on the bus stays queued until
+    /// resolution so it remains snoopable.
     pub wbq: WriteBackQueue,
     /// Snoop tag-port contention.
     pub snoop_srv: FifoServer,
@@ -61,9 +63,6 @@ pub struct L2Unit {
     /// Snarf line-fill buffers ("we conservatively decline the cache
     /// line" when these are busy, §3).
     pub snarf_buffers: SlotPool,
-    /// Castouts currently arbitrating on the bus; they stay in `wbq`
-    /// until resolution so they remain snoopable.
-    pub castouts_inflight: FxHashSet<LineAddr>,
     /// Threads parked on MSHR exhaustion.
     pub waiting_threads: Vec<ThreadId>,
     /// Reuse flags for lines snarfed into this cache.
@@ -99,7 +98,6 @@ impl L2Unit {
             snoop_srv: FifoServer::new(cfg.l2_snoop_cycles),
             array_srv: FifoServer::new(cfg.l2_array_cycles),
             snarf_buffers: SlotPool::new(cfg.snarf_buffers.max(1)),
-            castouts_inflight: FxHashSet::default(),
             waiting_threads: Vec::new(),
             snarfed_lines: FxHashMap::default(),
             parked: VecDeque::new(),
@@ -127,9 +125,10 @@ impl L2Unit {
         self.slices[s].probe(local).map(|(_, st)| st)
     }
 
-    /// Refreshes recency of a resident line. Returns `false` if absent.
+    /// Refreshes recency of a resident line and returns its state;
+    /// `None` if absent.
     #[inline]
-    pub fn touch(&mut self, line: LineAddr) -> bool {
+    pub fn touch(&mut self, line: LineAddr) -> Option<L2State> {
         let (s, local) = self.slice_and_local(line);
         self.slices[s].touch(local)
     }

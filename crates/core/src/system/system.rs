@@ -126,8 +126,6 @@ pub struct System {
     /// workload's castout working set: one probe instead of two on the
     /// coldest structure in the system.
     pub(super) wb_lines: FxHashMap<u64, bool>,
-    /// Miss issue times for the latency histogram: (l2, line) -> cycle.
-    pub(super) miss_issue: FxHashMap<(u8, u64), Cycle>,
     /// Lines in flight to an L2, keyed (l2, line), flagged
     /// [`INBOUND_FILL`](Self::INBOUND_FILL) for fills granted by a
     /// combined response but not yet landed and
@@ -293,7 +291,6 @@ impl System {
             txn_seq: TxnId::ZERO,
             stats: SystemStats::new(num_l2),
             wb_lines: FxHashMap::default(),
-            miss_issue: FxHashMap::default(),
             inbound: FxHashMap::default(),
             snoop_scratch: Vec::new(),
             waiter_scratch: Vec::new(),
@@ -480,7 +477,7 @@ impl System {
     }
 
     /// Routes one event to its phase module.
-    fn dispatch(&mut self, now: Cycle, ev: Ev) {
+    pub(super) fn dispatch(&mut self, now: Cycle, ev: Ev) {
         match ev {
             Ev::ThreadStep(t) => self.handle_thread_step(now, t),
             Ev::BusIssue(state) => self.handle_bus_issue(now, state),

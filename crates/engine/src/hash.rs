@@ -80,9 +80,13 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The product's low bits depend only on the key's low bits, and
+    /// hashbrown picks buckets from the low bits; rotating the well-mixed
+    /// high bits down (as rustc-hash 2 does) lets keys that differ only
+    /// in their upper bits land in different buckets.
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 }
 
@@ -119,6 +123,22 @@ mod tests {
         };
         assert_eq!(h(42), h(42));
         assert_ne!(h(42), h(43));
+    }
+
+    #[test]
+    fn high_key_bits_reach_the_low_hash_bits() {
+        // Line addresses that differ only in the trace generator's region
+        // and thread bits (26 and up) must not share hashbrown's bucket
+        // index, which comes from the hash's low bits.
+        let h = |x: u64| {
+            let mut h = FxHasher::default();
+            h.write_u64(x);
+            h.finish()
+        };
+        let base = 0x1234u64;
+        let low: std::collections::HashSet<u64> =
+            (0..64u64).map(|r| h(base | r << 26) & 0x3ff).collect();
+        assert!(low.len() > 32, "only {} distinct low-bit groups", low.len());
     }
 
     #[test]

@@ -297,18 +297,19 @@ impl L3Cache {
             .saturating_sub(self.cfg.array_occupancy);
         let exclusive = self.cfg.exclusive_on_read_hit;
         let slice = self.slice_mut(line);
-        let st = slice
-            .tags
-            .probe(local)
-            .unwrap_or_else(|| panic!("provide_read of absent line {line}"))
-            .1;
+        // One probe: the invalidate or the touch finds the line and
+        // hands back its state.
+        let evict = invalidate || exclusive;
+        let st = if evict {
+            slice.tags.invalidate(local)
+        } else {
+            slice.tags.touch(local)
+        }
+        .unwrap_or_else(|| panic!("provide_read of absent line {line}"));
         let (wait, ready) = slice.array_access_timed(now, tail);
         slice.reads.try_acquire(now, ready);
-        if invalidate || exclusive {
-            slice.tags.invalidate(local);
+        if evict {
             self.stats.invalidations += 1;
-        } else {
-            slice.tags.touch(local);
         }
         self.stats.reads_served += 1;
         (ready, st, wait)

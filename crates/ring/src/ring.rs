@@ -133,12 +133,14 @@ impl Ring {
     }
 
     /// When agent `dst` snoops a transaction issued by `src` at `issued`.
+    #[inline]
     pub fn snoop_arrival(&self, issued: Cycle, src: AgentId, dst: AgentId) -> Cycle {
         issued + self.topo.prop(src, dst)
     }
 
     /// When a snoop response produced by `agent` at `resp_ready` reaches
     /// the Snoop Collector.
+    #[inline]
     pub fn response_at_collector(&self, resp_ready: Cycle, agent: AgentId) -> Cycle {
         resp_ready + self.topo.prop(agent, self.topo.collector())
     }
@@ -146,6 +148,7 @@ impl Ring {
     /// When the combined response, generated once the last snoop response
     /// has arrived at the collector (`last_resp_at_collector`), is seen by
     /// `dst`.
+    #[inline]
     pub fn combined_arrival(&self, last_resp_at_collector: Cycle, dst: AgentId) -> Cycle {
         last_resp_at_collector + self.cfg.combine_delay + self.topo.prop(self.topo.collector(), dst)
     }

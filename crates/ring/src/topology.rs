@@ -117,9 +117,17 @@ impl RingTopology {
     pub fn position(&self, a: AgentId) -> usize {
         let p = self.positions[Self::dense(a)];
         if p == u32::MAX {
-            panic!("agent {a} not on ring");
+            Self::not_on_ring(a);
         }
         p as usize
+    }
+
+    /// The panic path of [`position`](Self::position), kept out of line
+    /// so the hop arithmetic inlines into the snoop fan-out.
+    #[cold]
+    #[inline(never)]
+    fn not_on_ring(a: AgentId) -> ! {
+        panic!("agent {a} not on ring")
     }
 
     /// Shortest-direction hop count between two agents.

@@ -87,7 +87,8 @@ CMPSIM_PROFILE=smoke ./target/release/policy_audit --check >/dev/null
 echo "==> policy matrix smoke (cmpsim --policy, every variant + a composition)"
 # Every selectable policy — including the post-paper rdcb and hybrid
 # ones and a '+' composition — must run and emit well-formed JSON.
-for pol in baseline wbht snarf combined rdcb hybrid wbht+hybrid; do
+policies="baseline wbht snarf combined rdcb hybrid wbht+hybrid"
+for pol in $policies; do
     if ! ./target/release/cmpsim --policy "$pol" --refs 2000 --seed 42 --json \
         | grep -q "\"policy\""; then
         echo "verify: FAILED — cmpsim --policy $pol did not produce a JSON report" >&2
@@ -97,18 +98,22 @@ done
 
 echo "==> legacy-tags differential oracle smoke (generic vs packed build)"
 # A whole-build diff: the simulator compiled on the generic tag-array
-# backend must emit byte-identical JSON to the default packed build.
+# backend must emit byte-identical JSON to the default packed build, for
+# every policy of the matrix above (each drives different tag-array
+# paths: history-table lookups, snarf placement, L3 reads).
 # Separate target-dir so the feature flip doesn't thrash the main cache.
 cargo build --release --features legacy-tags --bin cmpsim \
     --target-dir target/legacy-tags --quiet
 legacy_ref=$(mktemp)
-./target/release/cmpsim --policy combined --refs 2000 --seed 42 --json > "$legacy_ref"
-if ! ./target/legacy-tags/release/cmpsim --policy combined --refs 2000 --seed 42 --json \
-    | diff -q - "$legacy_ref" >/dev/null; then
-    rm -f "$legacy_ref"
-    echo "verify: FAILED — legacy-tags (generic) build diverged from the packed build" >&2
-    exit 1
-fi
+for pol in $policies; do
+    ./target/release/cmpsim --policy "$pol" --refs 2000 --seed 42 --json > "$legacy_ref"
+    if ! ./target/legacy-tags/release/cmpsim --policy "$pol" --refs 2000 --seed 42 --json \
+        | diff -q - "$legacy_ref" >/dev/null; then
+        rm -f "$legacy_ref"
+        echo "verify: FAILED — legacy-tags (generic) build diverged from the packed build (--policy $pol)" >&2
+        exit 1
+    fi
+done
 rm -f "$legacy_ref"
 
 echo "==> policy face-off harness gate (exp policy-faceoff --check)"
